@@ -15,10 +15,16 @@ Curves are stored as one period of their lift: strictly increasing rational
 breakpoints, the closing step to ``first + (p*C, q*C)`` implicit.  A monotone
 curve is a graph over theta in the universal cover, which makes every
 predicate here a one-dimensional exact computation: a meridian meets the
-curve p times per period, disjointness of two curves says a certain periodic
-PL function avoids all multiples of C, and membership (``locate``) casts the
-ray in direction (1,-1), which leaves the annulus through b1 and enters it
-through b2, so the first boundary hit decides the side.
+curve p times per period, and disjointness of two curves says a certain
+periodic PL function avoids all multiples of C.
+
+Every construction is read off one ray cast, ``_first_hit``: the first
+boundary point on a ray from x in one of six directions, each transverse to
+the positive-slope boundary.  Membership (``locate``) casts (1,-1), which
+leaves the annulus through b1 and enters it through b2, so the first hit
+decides the side; ``pick_u0`` casts (-1,1) from b1 into the band.  The axis
+rays +theta, +phi end r_v on b1 and b2, and -theta, -phi start r^v on b2 and
+b1; ``bar`` and the conjugated rectangle bar(r) are read off the same hits.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .errors import (
     ForbiddenPair,
     GridSyntaxError,
     InternalInvariantBroken,
-    NotContained,
     NotInterior,
     Outside,
     SlopeViolation,
@@ -44,10 +49,10 @@ from .torus_core import (
     Point,
     Rectangle,
     SignedPointMap,
+    _min_gap,
     characteristic,
     cyc_dist,
     in_cyclic,
-    pt,
     reduce_mod,
 )
 
@@ -285,63 +290,53 @@ def locate(annulus: Annulus, point) -> str:
         return ON_B1
     if annulus.b2.contains_point(x):
         return ON_B2
-    tag, _pt, _t = _antidiag_first_hit(annulus, x)
+    tag, _pt, _t = _first_hit(annulus, x, (1, -1))
     return INTERIOR if tag == ON_B1 else OUTSIDE
 
 
-def _antidiag_first_hit(annulus: Annulus, x: Point):
-    """First boundary point on {x + t*(1,-1) : t > 0}; t ranges in (0, C)."""
+def _first_hit(annulus: Annulus, x, direction):
+    """First boundary point on {x + t*direction : t > 0} as (tag, point, t).
+
+    ``direction`` is one of (+-1, 0), (0, +-1), +-(1, -1); each ray closes up
+    after t = C.  The level |dphi|*theta + |dtheta|*phi is constant along the
+    ray and strictly increasing along every boundary segment, so the ray
+    meets a segment where the level takes its value mod C.
+    """
     c = annulus.circumference
-    target = x.theta + x.phi
+    dx, dy = direction
+    theta, phi = x
+    target = _level(direction, theta, phi)
     best = None
     for tag, curve in annulus.curves():
         for (x1, y1), (x2, y2) in curve.segments():
-            g1, g2 = x1 + y1, x2 + y2
-            m = ((g1 - target) / c).__ceil__()
-            val = target + m * c
-            while val < g2:  # half-open [g1, g2)
-                if val >= g1:
-                    s = (val - g1) / (g2 - g1)
-                    hx = x1 + s * (x2 - x1)
-                    hy = y1 + s * (y2 - y1)
-                    t = reduce_mod(hx - x.theta, c)
-                    if t != 0:
-                        if best is None or t < best[2]:
-                            best = (tag, Point(reduce_mod(hx, c), reduce_mod(hy, c)), t)
+            g1, g2 = _level(direction, x1, y1), _level(direction, x2, y2)
+            val = target - ((target - g1) // c) * c  # least val >= g1
+            while val < g2:  # half-open [g1, g2): each crossing counted once
+                s = (val - g1) / (g2 - g1)
+                if dx:
+                    d = x1 + s * (x2 - x1) - theta
+                    t = reduce_mod(d if dx > 0 else -d, c)
+                else:
+                    d = y1 + s * (y2 - y1) - phi
+                    t = reduce_mod(d if dy > 0 else -d, c)
+                if t != 0 and (best is None or t < best[0]):
+                    best = (t, tag, (x1, y1), (x2, y2), s)
                 val += c
     if best is None:
-        raise InternalInvariantBroken("the (1,-1) ray missed the boundary")
-    return best
+        raise InternalInvariantBroken(f"the {direction} ray missed the boundary")
+    t, tag, (x1, y1), (x2, y2), s = best
+    return tag, Point(reduce_mod(x1 + s * (x2 - x1), c), reduce_mod(y1 + s * (y2 - y1), c)), t
 
 
-_DIRS = {"+theta": (1, 0), "-theta": (-1, 0), "+phi": (0, 1), "-phi": (0, -1)}
+def _level(direction, theta, phi):
+    dx, dy = direction
+    if dx and dy:
+        return theta + phi
+    return phi if dx else theta
 
 
-def _axis_first_hit(annulus: Annulus, x: Point, direction: str):
-    """First boundary point hit by the axis ray from x, as (tag, point, t > 0)."""
-    c = annulus.circumference
-    best = None
-    for tag, curve in annulus.curves():
-        if direction in ("+theta", "-theta"):
-            hits = [(Point(h, reduce_mod(x.phi, c)), h)
-                    for h in curve.longitude_crossings(x.phi)]
-            for p, h in hits:
-                t = cyc_dist(x.theta, h, c) if direction == "+theta" else cyc_dist(h, x.theta, c)
-                if t != 0 and (best is None or t < best[2]):
-                    best = (tag, p, t)
-        else:
-            for h in curve.meridian_crossings(x.theta):
-                p = Point(reduce_mod(x.theta, c), h)
-                t = cyc_dist(x.phi, h, c) if direction == "+phi" else cyc_dist(h, x.phi, c)
-                if t != 0 and (best is None or t < best[2]):
-                    best = (tag, p, t)
-    if best is None:
-        raise InternalInvariantBroken(f"axis ray {direction} missed the boundary")
-    return best
-
-
-def _expect_hit(annulus: Annulus, x: Point, direction: str, tag: str) -> Point:
-    got, p, _t = _axis_first_hit(annulus, x, direction)
+def _expect_hit(annulus: Annulus, x: Point, direction, tag: str) -> Point:
+    got, p, _t = _first_hit(annulus, x, direction)
     if got != tag:
         raise InternalInvariantBroken(
             f"{direction} ray from {x} met {got} before {tag}")
@@ -355,8 +350,8 @@ def rect_rv(annulus: Annulus, v) -> Rectangle:
     v = Point(Fraction(v[0]), Fraction(v[1])).reduced(c)
     if locate(annulus, v) != INTERIOR:
         raise NotInterior(f"{v} is not interior to the annulus")
-    right = _expect_hit(annulus, v, "+theta", ON_B1)
-    top = _expect_hit(annulus, v, "+phi", ON_B2)
+    right = _expect_hit(annulus, v, (1, 0), ON_B1)
+    top = _expect_hit(annulus, v, (0, 1), ON_B2)
     return Rectangle.of(v.theta, right.theta, v.phi, top.phi)
 
 
@@ -366,8 +361,8 @@ def co_rect(annulus: Annulus, v) -> Rectangle:
     v = Point(Fraction(v[0]), Fraction(v[1])).reduced(c)
     if locate(annulus, v) != INTERIOR:
         raise NotInterior(f"{v} is not interior to the annulus")
-    left = _expect_hit(annulus, v, "-theta", ON_B2)
-    bottom = _expect_hit(annulus, v, "-phi", ON_B1)
+    left = _expect_hit(annulus, v, (-1, 0), ON_B2)
+    bottom = _expect_hit(annulus, v, (0, -1), ON_B1)
     return Rectangle.of(left.theta, v.theta, bottom.phi, v.phi)
 
 
@@ -379,9 +374,9 @@ def bar(annulus: Annulus, v) -> Point:
     if side == OUTSIDE:
         raise Outside(f"{v} is outside the annulus")
     if side == ON_B1:
-        return _expect_hit(annulus, v, "+phi", ON_B2)
+        return _expect_hit(annulus, v, (0, 1), ON_B2)
     if side == ON_B2:
-        return _expect_hit(annulus, v, "+theta", ON_B1)
+        return _expect_hit(annulus, v, (1, 0), ON_B1)
     r = rect_rv(annulus, v)
     return Point(r.theta2, r.phi2)
 
@@ -724,19 +719,6 @@ def _bars_unchanged(candidate: Annulus, before) -> bool:
         if side == INTERIOR and rect_rv(candidate, p) != data[1]:
             return False
     return True
-
-
-def _min_gap(values, c) -> Fraction:
-    vals = sorted(reduce_mod(v, c) for v in values)
-    if not vals:
-        return Fraction(c)
-    if len(vals) == 1:
-        return Fraction(c)
-    gaps = [b - a for a, b in zip(vals, vals[1:]) if b > a]
-    wrap = vals[0] + c - vals[-1]
-    if wrap > 0:
-        gaps.append(wrap)
-    return min(gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .annulus import (
     ON_B1,
     ON_B2,
     OmegaRegions,
-    _axis_first_hit,
+    _expect_hit,
     bar,
     co_rect,
     locate,
@@ -58,18 +58,20 @@ from .errors import (
     NotContained,
 )
 from .moves import ElementaryMove, apply_elementary, apply_move_to_map, conjugate_move
-from .multiflype import MultiflypeSpec, apply_multiflype, direction_frame, flype_sum_map
+from .multiflype import MultiflypeSpec, _forward_frame, apply_multiflype, flype_sum_map
 from .torus_core import (
     GridDiagram,
     Point,
     Rectangle,
     SignedPointMap,
+    _min_gap,
     characteristic,
     cyc_dist,
     from_characteristic,
     in_cyclic,
     map_symmetry,
     reduce_mod,
+    translate_equal,
 )
 
 
@@ -157,33 +159,13 @@ def pick_u0(diagram, annulus: Annulus) -> Point:
             for (x1, y1), (x2, y2) in annulus.b1.segments():
                 p = Point(reduce_mod(x1 + f * (x2 - x1), c),
                           reduce_mod(y1 + f * (y2 - y1), c))
-                t = _clearance_up_left(annulus, p)
+                hit = _expect_hit(annulus, p, (-1, 1), ON_B2)
+                t = cyc_dist(hit.theta, p.theta, c)
                 u = Point(reduce_mod(p.theta - t / 2, c),
                           reduce_mod(p.phi + t / 2, c))
                 if admissible(u):
                     return u
     raise InternalInvariantBroken("no admissible basepoint found")
-
-
-def _clearance_up_left(annulus: Annulus, p: Point) -> Fraction:
-    """Distance from a b1 point to the first b2 hit in direction (-1, 1)."""
-    c = annulus.circumference
-    best = None
-    for (x1, y1), (x2, y2) in annulus.b2.segments():
-        g1, g2 = x1 + y1, x2 + y2
-        target = p.theta + p.phi
-        mval = target + ((g1 - target) / c).__ceil__() * c
-        while mval < g2:
-            if mval >= g1:
-                s = (mval - g1) / (g2 - g1)
-                hx = x1 + s * (x2 - x1)
-                t = reduce_mod(p.theta - hx, c)
-                if t != 0 and (best is None or t < best):
-                    best = t
-            mval += c
-    if best is None:
-        raise InternalInvariantBroken("no b2 hit up-left of a b1 point")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +349,6 @@ def _sweep_moves(m: SignedPointMap, annulus: Annulus, u0: Point,
 # Induction step
 # ---------------------------------------------------------------------------
 
-def _fresh_eps(m: SignedPointMap, extra_levels):
-    used_t, used_f = _used_levels(m)
-    c = m.circumference
-    levels = sorted({reduce_mod(v, c) for v in
-                     list(used_t) + list(used_f) + list(extra_levels)})
-    gaps = [b - a for a, b in zip(levels, levels[1:])]
-    gaps.append(levels[0] + c - levels[-1])
-    return min(g for g in gaps if g > 0) / 4
-
-
 def _omega_count(m: SignedPointMap, annulus: Annulus, om: OmegaRegions) -> int:
     return sum(1 for p in m.entries
                if locate(annulus, p) == INTERIOR and om.in_omega(p))
@@ -460,7 +432,8 @@ def _case_move(m: SignedPointMap, annulus: Annulus, u0: Point, om: OmegaRegions,
     extra = [u0.theta, u0.phi, u1.theta, u1.phi]
     if theta3 is not None:
         extra.append(theta3)
-    eps = _fresh_eps(m, extra)
+    used_t, used_f = _used_levels(m)
+    eps = _min_gap([*used_t, *used_f, *extra], c) / 4
     last = None
     for _attempt in range(60):
         try:
@@ -515,19 +488,13 @@ def conjugate_rectangle(annulus: Annulus, rect: Rectangle) -> Rectangle:
     if not rect_in_annulus(annulus, rect):
         raise NotContained("rectangle not inside the annulus")
 
-    def expect(point, direction, tag):
-        got, p, _t = _axis_first_hit(annulus, point, direction)
-        if got != tag:
-            raise InternalInvariantBroken(f"{direction} exit met {got}, wanted {tag}")
-        return p
-
     v1 = Point(rect.theta1, rect.phi1)
     v2 = Point(rect.theta2, rect.phi1)
     v4 = Point(rect.theta1, rect.phi2)
-    x_b = expect(v1, "+theta", ON_B1).theta
-    x_t = expect(v4, "+theta", ON_B1).theta
-    y_a = expect(v1, "+phi", ON_B2).phi
-    y_b = expect(v2, "+phi", ON_B2).phi
+    x_b = _expect_hit(annulus, v1, (1, 0), ON_B1).theta
+    x_t = _expect_hit(annulus, v4, (1, 0), ON_B1).theta
+    y_a = _expect_hit(annulus, v1, (0, 1), ON_B2).phi
+    y_b = _expect_hit(annulus, v2, (0, 1), ON_B2).phi
     return Rectangle.of(x_b, x_t, y_a, y_b)
 
 
@@ -575,10 +542,8 @@ class DecomposeTrace:
 
 def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
     """The certificate plus the verified NE-frame trace."""
-    frame = direction_frame(spec.direction)
-    backward = spec.direction in ("SW", "SE")
     m0 = characteristic(diagram)
-    work = m0 if frame == "none" else map_symmetry(m0, frame)
+    work, frame, backward = _forward_frame(m0, spec)
     sym_chain = []
     if frame != "none":
         sym_chain.append(frame)
@@ -611,7 +576,7 @@ def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
 
     cert = _public_chain(diagram, out_maps, out_moves)
     direct = apply_multiflype(diagram, spec)
-    if not _translate_witness(cert.target, direct):
+    if not translate_equal(cert.target, direct):
         raise InternalInvariantBroken("certificate target differs from the flype")
     return cert, trace
 
@@ -620,18 +585,6 @@ def decompose(diagram: GridDiagram, spec: MultiflypeSpec) -> MoveCertificate:
     """Factor the multiflype into validated elementary moves inside A."""
     cert, _trace = decompose_with_trace(diagram, spec)
     return cert
-
-
-def _translate_witness(d1: GridDiagram, d2: GridDiagram):
-    """The integer torus translation carrying d1 onto d2 exactly, or None."""
-    if d1.n != d2.n:
-        return None
-    from .torus_core import translate
-    for a in range(d1.n):
-        for b in range(d1.n):
-            if translate(d1, a, b) == d2:
-                return (a, b)
-    return None
 
 
 def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
@@ -646,8 +599,6 @@ def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
     whenever a fresh level wraps past the representative cut; the chain form
     keeps every step equation exact.)
     """
-    from .torus_core import translate_equal
-
     t_map = {lvl: lvl for lvl in sorted({p.theta for p in maps[0].entries})}
     f_map = {lvl: lvl for lvl in sorted({p.phi for p in maps[0].entries})}
     current_pub = from_characteristic(maps[0])

@@ -282,9 +282,6 @@ class LegendrianPair:
     up: tuple
     down: tuple
 
-    def __post_init__(self):
-        pass
-
 
 def _oriented_corners(diagram: GridDiagram, planar: PlanarDiagram):
     """Per vertex, the (incoming, outgoing) compass directions of its two arcs.

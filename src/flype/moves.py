@@ -21,6 +21,7 @@ from .errors import GridSyntaxError, InvalidResult, NotAnElementaryMove
 from .torus_core import (
     GridDiagram,
     Rectangle,
+    SignedPointMap,
     canonical_form,
     characteristic,
     from_characteristic,
@@ -56,21 +57,24 @@ class MoveKind:
     family: str
 
 
-def corner_pattern(diagram: GridDiagram, rect: Rectangle):
-    """Indices (0..3) of rectangle corners that are vertices of the diagram.
+def corner_pattern(m: SignedPointMap, rect: Rectangle):
+    """Indices (0..3) of rectangle corners that are vertices of the diagram
+    with characteristic map m (levels may be rational).
 
     Raises NotAnElementaryMove if a vertex meets the closed rectangle away
     from its corners, or the corner count / successiveness rule fails.
     """
-    n = diagram.n
-    corners = rect.corners()
-    corner_set = {c.reduced(n) for c in corners}
-    if len(corner_set) != 4:
+    c = m.circumference
+    corner_index = {q.reduced(c): i for i, q in enumerate(rect.corners())}
+    if len(corner_index) != 4:
         raise NotAnElementaryMove("rectangle corners are not distinct")
-    for p, _ in diagram.vertices():
-        if rect.contains(p, n) and p.reduced(n) not in corner_set:
-            raise NotAnElementaryMove(f"vertex {p} inside the rectangle")
-    hit = tuple(i for i, c in enumerate(corners) if diagram.sign_at(c) != 0)
+    hit = []
+    for p in m.entries:
+        if rect.contains(p, c):
+            if p not in corner_index:
+                raise NotAnElementaryMove(f"vertex {p} inside the rectangle")
+            hit.append(corner_index[p])
+    hit = tuple(sorted(hit))
     if len(hit) not in (1, 2, 3):
         raise NotAnElementaryMove(f"{len(hit)} corners on the diagram")
     if len(hit) == 2 and (hit[1] - hit[0]) % 4 == 2:
@@ -80,30 +84,12 @@ def corner_pattern(diagram: GridDiagram, rect: Rectangle):
 
 def move_kind_of(diagram: GridDiagram, move: ElementaryMove) -> str:
     return (STABILIZATION, EXCHANGE, DESTABILIZATION)[
-        len(corner_pattern(diagram, move.rect)) - 1]
-
-
-def map_corner_pattern(m, rect: Rectangle):
-    """corner_pattern for a diagram given as a SignedPointMap (rational levels)."""
-    c = m.circumference
-    corners = rect.corners()
-    corner_set = {q.reduced(c) for q in corners}
-    if len(corner_set) != 4:
-        raise NotAnElementaryMove("rectangle corners are not distinct")
-    for p in m.entries:
-        if rect.contains(p, c) and p not in corner_set:
-            raise NotAnElementaryMove(f"vertex {p} inside the rectangle")
-    hit = tuple(i for i, q in enumerate(corners) if m[q] != 0)
-    if len(hit) not in (1, 2, 3):
-        raise NotAnElementaryMove(f"{len(hit)} corners on the diagram")
-    if len(hit) == 2 and (hit[1] - hit[0]) % 4 == 2:
-        raise NotAnElementaryMove("two opposite corners on the diagram")
-    return hit
+        len(corner_pattern(characteristic(diagram), move.rect)) - 1]
 
 
 def apply_move_to_map(m, move: ElementaryMove):
     """Map-level apply_elementary; validates legality and the result."""
-    map_corner_pattern(m, move.rect)
+    corner_pattern(m, move.rect)
     out = m.copy()
     out.add_rectangle(move.rect, -move.sign)
     if not out.is_diagram():
@@ -140,12 +126,7 @@ def apply_elementary(diagram: GridDiagram, move: ElementaryMove) -> GridDiagram:
     """Apply sigma_R - sign*sigma_rect and renormalize."""
     if move.sign not in (1, -1):
         raise NotAnElementaryMove(f"sign {move.sign}")
-    corner_pattern(diagram, move.rect)
-    m = characteristic(diagram)
-    m.add_rectangle(move.rect, -move.sign)
-    if not m.is_diagram():
-        raise InvalidResult("resulting map is not a diagram characteristic")
-    return from_characteristic(m)
+    return from_characteristic(apply_move_to_map(characteristic(diagram), move))
 
 
 def _half_levels(n: int):
@@ -314,9 +295,9 @@ def parse_move(line: str) -> ElementaryMove:
         raise GridSyntaxError(f"bad move line {line!r}")
     try:
         sign = int(parts[1])
-        t1, t2, f1, f2 = (Fraction(p) for p in parts[2:])
-    except (ValueError, ZeroDivisionError):
+        rect = Rectangle.of(*(Fraction(p) for p in parts[2:]))
+    except (ValueError, ZeroDivisionError):  # Rectangle.of rejects equal endpoints
         raise GridSyntaxError(f"bad move line {line!r}") from None
     if sign not in (1, -1):
         raise GridSyntaxError(f"bad move sign {parts[1]!r}")
-    return ElementaryMove(Rectangle.of(t1, t2, f1, f2), sign)
+    return ElementaryMove(rect, sign)

@@ -33,17 +33,17 @@ from .annulus import (
     OUTSIDE,
     co_rect,
     locate,
-    negate_annulus,
     rect_rv,
     validate_annulus,
 )
-from .errors import AnnulusInvalid, InternalInvariantBroken, NotAnElementaryMove
+from .errors import AnnulusInvalid, CurveError, InternalInvariantBroken
 from .moves import ElementaryMove, apply_elementary, corner_pattern
 from .torus_core import (
     GridDiagram,
     Point,
     Rectangle,
     SignedPointMap,
+    _min_gap,
     characteristic,
     cyc_dist,
     from_characteristic,
@@ -77,17 +77,32 @@ def direction_frame(direction: str) -> str:
     return {NE: "none", SW: "none", NW: "flip_theta", SE: "flip_theta"}[direction]
 
 
+def _forward_frame(m: SignedPointMap, spec: MultiflypeSpec):
+    """The map in the spec's forward frame, that frame's symmetry, and
+    whether the sum runs over co-rectangles (SW, SE)."""
+    frame = direction_frame(spec.direction)
+    work = m if frame == "none" else map_symmetry(m, frame)
+    return work, frame, spec.direction in (SW, SE)
+
+
+def _flyped_vertices(m: SignedPointMap, annulus: Annulus, backward: bool):
+    """(vertex, sign, side, rectangle) for every vertex not outside the
+    annulus; the rectangle is r_v (r^v when backward) inside, None on the
+    boundary."""
+    for p, s in sorted(m.entries.items()):
+        side = locate(annulus, p)
+        if side == INTERIOR:
+            yield p, s, side, co_rect(annulus, p) if backward else rect_rv(annulus, p)
+        elif side != OUTSIDE:
+            yield p, s, side, None
+
+
 def flype_sum_map(m: SignedPointMap, annulus: Annulus, backward=False) -> SignedPointMap:
     """sigma_R minus the literal sum over all vertices inside the annulus."""
     out = m.copy()
-    log = []
-    for p, s in sorted(m.entries.items()):
-        side = locate(annulus, p)
-        if side != INTERIOR:
-            continue
-        rect = co_rect(annulus, p) if backward else rect_rv(annulus, p)
-        out.add_rectangle(rect, -s)
-        log.append((p, s, rect))
+    for _p, s, _side, rect in _flyped_vertices(m, annulus, backward):
+        if rect is not None:
+            out.add_rectangle(rect, -s)
     return out
 
 
@@ -104,9 +119,7 @@ def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
     speaks about and where isotopy preservation is inherited from the
     forward direction.
     """
-    frame = direction_frame(spec.direction)
-    backward = spec.direction in (SW, SE)
-    work = m if frame == "none" else map_symmetry(m, frame)
+    work, frame, backward = _forward_frame(m, spec)
     relaxed = False
     if not validated:
         try:
@@ -142,22 +155,15 @@ def apply_multiflype(diagram: GridDiagram, spec: MultiflypeSpec) -> GridDiagram:
 
 def replacement_log(diagram: GridDiagram, spec: MultiflypeSpec):
     """Human-readable record of what the flype does to each vertex."""
-    frame = direction_frame(spec.direction)
-    backward = spec.direction in (SW, SE)
-    m = characteristic(diagram)
-    work = m if frame == "none" else map_symmetry(m, frame)
+    work, _frame, backward = _forward_frame(characteristic(diagram), spec)
     validate_annulus(spec.annulus, work)
     lines = []
-    for p, s in sorted(work.entries.items()):
-        side = locate(spec.annulus, p)
-        if side == OUTSIDE:
-            continue
-        if side == INTERIOR:
-            rect = co_rect(spec.annulus, p) if backward else rect_rv(spec.annulus, p)
+    for p, s, side, rect in _flyped_vertices(work, spec.annulus, backward):
+        if rect is None:
+            lines.append(f"boundary {_fmt(p)} sign {s:+d} on {side} (kept by the sum)")
+        else:
             dest = Point(rect.theta1, rect.phi1) if backward else Point(rect.theta2, rect.phi2)
             lines.append(f"interior {_fmt(p)} sign {s:+d} -> {_fmt(dest)} sign {-s:+d}")
-        else:
-            lines.append(f"boundary {_fmt(p)} sign {s:+d} on {side} (kept by the sum)")
     return lines
 
 
@@ -168,15 +174,6 @@ def _fmt(p: Point) -> str:
 # ---------------------------------------------------------------------------
 # Realizing an elementary move as a one-interior-vertex multiflype
 # ---------------------------------------------------------------------------
-
-def _special_gap(levels, circumference) -> Fraction:
-    vals = sorted(set(reduce_mod(v, circumference) for v in levels))
-    if len(vals) < 2:
-        return Fraction(circumference)
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    gaps.append(vals[0] + circumference - vals[-1])
-    return min(g for g in gaps if g > 0)
-
 
 def _lifted_specials(levels, lo, hi, circumference):
     """Lifted copies of the given reduced levels in the open interval (lo, hi)."""
@@ -206,7 +203,7 @@ def thin_move_annulus(diagram: GridDiagram, rect: Rectangle) -> Annulus:
     t2, f2 = t1 + w_t, f1 + w_f
     specials_t = [Fraction(j) for j in range(n)] + [t1, reduce_mod(t2, n)]
     specials_f = [Fraction(k) for k in range(n)] + [f1, reduce_mod(f2, n)]
-    eps0 = min(_special_gap(specials_t, n), _special_gap(specials_f, n),
+    eps0 = min(_min_gap(specials_t, n), _min_gap(specials_f, n),
                w_t, w_f, n - w_t, n - w_f) / 8
 
     eps = eps0
@@ -214,7 +211,7 @@ def thin_move_annulus(diagram: GridDiagram, rect: Rectangle) -> Annulus:
     for _attempt in range(50):
         try:
             return _build_band(n, t1, t2, f1, f2, specials_t, specials_f, eps)
-        except (InternalInvariantBroken, Exception) as err:  # noqa: BLE001 - retried
+        except (CurveError, AnnulusInvalid) as err:
             last_error = err
             eps = eps / 2
     raise InternalInvariantBroken(f"thin annulus construction failed: {last_error}")
@@ -261,17 +258,19 @@ def realize_elementary(diagram: GridDiagram, move: ElementaryMove, slope: str):
     """
     if slope not in ("direct", "reflected"):
         raise ValueError(f"unknown slope {slope!r}")
-    pattern = set(corner_pattern(diagram, move.rect))  # may raise NotAnElementaryMove
+    m = characteristic(diagram)
+    pattern = set(corner_pattern(m, move.rect))  # may raise NotAnElementaryMove
     expected = apply_elementary(diagram, move)
 
     if slope == "direct":
         work, rect = diagram, move.rect
     else:
-        work = from_characteristic(map_symmetry(characteristic(diagram), "flip_theta"))
+        flipped = map_symmetry(m, "flip_theta")
+        work = from_characteristic(flipped)
         rect = Rectangle.of(reduce_mod(-move.rect.theta2, diagram.n),
                             reduce_mod(-move.rect.theta1, diagram.n),
                             move.rect.phi1, move.rect.phi2)
-        pattern = set(corner_pattern(work, rect))
+        pattern = set(corner_pattern(flipped, rect))
 
     if pattern in _NE_PATTERNS:
         direction = NE if slope == "direct" else NW

@@ -42,6 +42,17 @@ def cyc_dist(a, b, circumference) -> Fraction:
     return reduce_mod(Fraction(b) - Fraction(a), circumference)
 
 
+def _min_gap(values, circumference) -> Fraction:
+    """Shortest gap between the distinct reduced values, cyclically; the
+    whole circumference when there are fewer than two."""
+    vals = sorted({reduce_mod(v, circumference) for v in values})
+    if len(vals) < 2:
+        return Fraction(circumference)
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    gaps.append(vals[0] + circumference - vals[-1])
+    return min(gaps)
+
+
 def in_cyclic(start, end, x, circumference, closed=True) -> bool:
     """Membership of x in the interval traversed forward from start to end."""
     d_end = cyc_dist(start, end, circumference)
@@ -394,9 +405,12 @@ def canonical_form(diagram: GridDiagram) -> bytes:
     """Lexicographically minimal encoding over all n^2 torus translations.
 
     Constant exactly on translation orbits; symmetries and rotations are not
-    quotiented out (they may change the diagram type).
+    quotiented out (they may change the diagram type).  Levels are encoded as
+    bytes, so the grid number must be at most 255.
     """
     n = diagram.n
+    if n > 255:
+        raise OutOfRangeValue(f"grid number {n} > 255 has no canonical form")
     best = None
     for a in range(n):
         for b in range(n):

@@ -6,6 +6,7 @@ point appears anywhere in the package).
 """
 
 import ast
+import hashlib
 import json
 import pathlib
 import time
@@ -217,6 +218,10 @@ def test_criterion_7_unknot_census():
             f"in {elapsed:.0f}s")
 
 
+#: SHA-256 of the 812-byte fingerprint below
+FINGERPRINT_SHA256 = "655820f30eec6d4528e02afc199ea50dfd58bb20890337e94fc09c5f8422a20e"
+
+
 def _determinism_fingerprint() -> str:
     rng = Random(20260808)
     pieces = []
@@ -240,6 +245,8 @@ def test_criterion_8_determinism_and_no_floats():
     first = _determinism_fingerprint()
     second = _determinism_fingerprint()
     assert first == second
+    # pinned across commits, so that a change of any output is seen here
+    assert hashlib.sha256(first.encode()).hexdigest() == FINGERPRINT_SHA256
 
     src = pathlib.Path(flype.__file__).parent
     offenders = []

@@ -46,6 +46,7 @@ from flype.torus_core import (
     reduce_mod,
     sigma_of_rectangle,
     translate,
+    translate_equal,
 )
 
 decompose_mod = importlib.import_module("flype.decompose")
@@ -68,6 +69,13 @@ def test_pick_u0_contract():
         u1 = bar(ann, u0)
         assert u1.theta not in set(range(d.n)) and u1.phi not in set(range(d.n))
         assert pick_u0(d, ann) == u0  # deterministic
+
+
+def test_pick_u0_thin_band_slides_along_b1():
+    # no half-integer cell point lies in this band, so u0 comes from the
+    # fallback that pushes b1 points up-left into the band
+    thin = parse_annulus("annulus 2 winding 1 1\nB1: (10001/30000,0)\nB2: (9999/30000,0)\n")
+    assert pick_u0(UNKNOT2, thin) == Point(F(26667, 20000), F(60001, 60000))
 
 
 def test_vertex_free_flype_has_empty_certificate():
@@ -116,13 +124,12 @@ def test_randomized_decompositions_are_sound():
 
 
 def test_certificate_matches_direct_application_up_to_anchoring():
-    from flype.decompose import _translate_witness
     rng = Random(43)
     for _ in range(25):
         d, spec = random_flype_case(rng, n_max=6, require_interior=True)
         cert = decompose(d, spec)
         direct = apply_multiflype(d, spec)
-        assert _translate_witness(cert.target, direct) is not None
+        assert translate_equal(cert.target, direct)
 
 
 def test_family_purity():

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from oracles import brute_transitions
-from flype.errors import InvalidResult, NotAnElementaryMove
+from flype.errors import GridSyntaxError, InvalidResult, NotAnElementaryMove
 from flype.invariants import jones
 from flype.moves import (
     BOTH_FAMILIES,
@@ -195,3 +195,5 @@ def test_move_serialization_roundtrip():
     assert parse_move(line) == STAB
     move = ElementaryMove(Rectangle.of(F(3, 2), 0, F(7, 3), 1), -1)
     assert parse_move(serialize_move(move)) == move
+    with pytest.raises(GridSyntaxError):
+        parse_move("move +1 0 0 1 2")  # equal theta endpoints

@@ -1,5 +1,6 @@
 """Multiflypes: the defining sum, inverses, conjugation, realization of moves."""
 
+import importlib
 from fractions import Fraction as F
 from random import Random
 
@@ -11,9 +12,11 @@ from flype.annulus import (
     MonotoneCurve,
     locate,
     negate_annulus,
+    parse_annulus,
     rect_rv,
     validate_annulus,
 )
+from flype.errors import SlopeViolation
 from flype.invariants import jones
 from flype.moves import ElementaryMove, apply_elementary, classify, enumerate_elementary
 from flype.multiflype import (
@@ -23,6 +26,8 @@ from flype.multiflype import (
     flype_sum_map,
     inverse_spec,
     realize_elementary,
+    replacement_log,
+    thin_move_annulus,
 )
 from flype.sampling import random_diagram, random_flype_case
 from flype.torus_core import (
@@ -152,7 +157,7 @@ def test_sw_is_point_reflection_conjugated_ne():
 def test_boundary_arc_rules_emerge_from_the_sum():
     """At a b1 point whose maximal horizontal arc holds two or no vertices the
     diagram is unchanged; one vertex adds or removes per the prose rules."""
-    from flype.annulus import _axis_first_hit, ON_B2
+    from flype.annulus import _first_hit
     rng = Random(127)
     checked_rules = set()
     for _ in range(60):
@@ -173,7 +178,7 @@ def test_boundary_arc_rules_emerge_from_the_sum():
         for p in points:
             if not spec.annulus.b1.contains_point(p):
                 continue
-            _tag, entry, _t = _axis_first_hit(spec.annulus, p, "-theta")
+            _tag, entry, _t = _first_hit(spec.annulus, p, (-1, 0))
             arc_len = cyc_dist(entry.theta, p.theta, c)
             inside = [v for v in m.entries
                       if v.phi == p.phi and locate(spec.annulus, v) == INTERIOR
@@ -224,6 +229,45 @@ def test_realized_band_has_one_interior_vertex():
     inside = [v for v, _s in frame.vertices()
               if locate(spec.annulus, v) == INTERIOR]
     assert inside == [Point(F(0), F(0))]
+
+
+def test_replacement_log_interior_and_boundary_vertices():
+    # b1 runs through both negative vertices; the positive ones are interior
+    band = parse_annulus("annulus 2 winding 1 1\nB1: (1,0)\nB2: (-1/2,0)\n")
+    kept = ["boundary (0,1) sign -1 on on_b1 (kept by the sum)",
+            "boundary (1,0) sign -1 on on_b1 (kept by the sum)"]
+    assert replacement_log(UNKNOT2, MultiflypeSpec(band, "NE")) == [
+        "interior (0,0) sign +1 -> (1,1/2) sign -1", *kept,
+        "interior (1,1) sign +1 -> (0,3/2) sign -1"]
+    assert replacement_log(UNKNOT2, MultiflypeSpec(band, "SW")) == [
+        "interior (0,0) sign +1 -> (3/2,1) sign -1", *kept,
+        "interior (1,1) sign +1 -> (1/2,0) sign -1"]
+
+
+def test_thin_band_retries_only_geometric_failures(monkeypatch):
+    multiflype = importlib.import_module("flype.multiflype")
+    build = multiflype._build_band
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SlopeViolation("too wide")
+        return build(*args)
+
+    monkeypatch.setattr(multiflype, "_build_band", flaky)
+    validate_annulus(thin_move_annulus(UNKNOT2, STAB.rect), UNKNOT2)
+    assert len(calls) == 2  # retried with half the epsilon
+
+    def broken(*args):
+        calls.append(args)
+        raise KeyError("a bug, not geometry")
+
+    calls.clear()
+    monkeypatch.setattr(multiflype, "_build_band", broken)
+    with pytest.raises(KeyError):
+        thin_move_annulus(UNKNOT2, STAB.rect)
+    assert len(calls) == 1
 
 
 def test_direction_validation():

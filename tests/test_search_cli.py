@@ -118,6 +118,16 @@ def test_cli_validate_bad_grid(tmp_path, capsys):
     assert err.startswith("E:CoincidentVertices:")
 
 
+def test_cli_grid_number_beyond_canonical_range(tmp_path, capsys):
+    big = tmp_path / "big.grid"
+    n = 256
+    big.write_text(serialize(GridDiagram.make(range(n), [(j + 1) % n for j in range(n)])),
+                   encoding="utf-8")
+    rc = cli(["simplify", "--grid", str(big)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("E:OutOfRangeValue:")
+
+
 def test_cli_missing_file(capsys):
     assert cli(["validate", "/nonexistent.grid"]) == 1
     assert capsys.readouterr().err.startswith("E:Usage:")
