@@ -189,12 +189,6 @@ def negate_curve(curve: MonotoneCurve) -> MonotoneCurve:
     return MonotoneCurve(pts, curve.winding, curve.circumference)
 
 
-def translate_curve(curve: MonotoneCurve, dtheta, dphi) -> MonotoneCurve:
-    pts = tuple((x + Fraction(dtheta), y + Fraction(dphi))
-                for x, y in curve.breakpoints)
-    return MonotoneCurve(pts, curve.winding, curve.circumference)
-
-
 def _graphs_avoid_lattice(low: MonotoneCurve, high: MonotoneCurve, skip_zero_shift):
     """True iff no lattice copy of ``high`` meets ``low``.
 
@@ -379,12 +373,6 @@ def bar(annulus: Annulus, v) -> Point:
         return _expect_hit(annulus, v, (1, 0), ON_B1)
     r = rect_rv(annulus, v)
     return Point(r.theta2, r.phi2)
-
-
-def bar_inverse(annulus: Annulus, v) -> Point:
-    """The interior point u with bar(u) = v (start corner of r^v)."""
-    r = co_rect(annulus, v)
-    return Point(r.theta1, r.phi1)
 
 
 # ---------------------------------------------------------------------------

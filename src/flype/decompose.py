@@ -467,8 +467,7 @@ def _case_move(m: SignedPointMap, annulus: Annulus, u0: Point, om: OmegaRegions,
             if _omega_count(m2, a2, om2) != count - 1:
                 raise InternalInvariantBroken("measure did not decrease by one")
             return move, a2
-        except (NotContained, AnnulusInvalid, NotAnElementaryMove,
-                InternalInvariantBroken) as err:
+        except (NotContained, AnnulusInvalid, NotAnElementaryMove) as err:
             last = err
             eps = eps / 2
     raise InternalInvariantBroken(f"induction step failed (case {case}): {last}")

@@ -9,7 +9,10 @@ resulting map is again a diagram characteristic.  One corner gains a level
 
 New coordinate levels are enumerated at half-integers, one per gap between
 used levels; since only cyclic order matters, this is exhaustive up to
-renormalization.
+renormalization.  The enumeration scans the doubled-integer lattice and
+apply_elementary works on rational levels, but both go through one corner
+check (``_corner_hits``), one corner-sign update and one renormalizer
+(``torus_core._renormalize``).
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GridSyntaxError, InvalidResult, NotAnElementaryMove
+from .errors import DiagramError, GridSyntaxError, InvalidResult, NotAnElementaryMove
 from .torus_core import (
     GridDiagram,
     Rectangle,
     SignedPointMap,
+    _add_corner_signs,
+    _renormalize,
     canonical_form,
     characteristic,
     from_characteristic,
@@ -64,16 +69,24 @@ def corner_pattern(m: SignedPointMap, rect: Rectangle):
     Raises NotAnElementaryMove if a vertex meets the closed rectangle away
     from its corners, or the corner count / successiveness rule fails.
     """
-    c = m.circumference
-    corner_index = {q.reduced(c): i for i, q in enumerate(rect.corners())}
-    if len(corner_index) != 4:
+    return _corner_hits(m.entries, rect.theta1, rect.theta2, rect.phi1, rect.phi2,
+                        m.circumference)
+
+
+def _corner_hits(verts: dict, t1, t2, f1, f2, c):
+    """corner_pattern on a reduced vertex map {(theta, phi): sign} whose
+    coordinates, the rectangle's and the circumference c are all Fractions
+    or all integers."""
+    w, h = (t2 - t1) % c, (f2 - f1) % c
+    if not w or not h:
         raise NotAnElementaryMove("rectangle corners are not distinct")
     hit = []
-    for p in m.entries:
-        if rect.contains(p, c):
-            if p not in corner_index:
+    for p in verts:
+        dx, dy = (p[0] - t1) % c, (p[1] - f1) % c
+        if dx <= w and dy <= h:
+            if dx not in (0, w) or dy not in (0, h):
                 raise NotAnElementaryMove(f"vertex {p} inside the rectangle")
-            hit.append(corner_index[p])
+            hit.append((0, 1, 3, 2)[(dx != 0) + 2 * (dy != 0)])
     hit = tuple(sorted(hit))
     if len(hit) not in (1, 2, 3):
         raise NotAnElementaryMove(f"{len(hit)} corners on the diagram")
@@ -129,21 +142,14 @@ def apply_elementary(diagram: GridDiagram, move: ElementaryMove) -> GridDiagram:
     return from_characteristic(apply_move_to_map(characteristic(diagram), move))
 
 
-def _half_levels(n: int):
-    out = []
-    for j in range(n):
-        out.append(Fraction(j))
-        out.append(Fraction(2 * j + 1, 2))
-    return out
-
-
 def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
     """Every legal move on the half-integer level lattice, deduplicated.
 
     Two rectangles carrying the same (source, target, kind) transition count
     as one move; order is deterministic (sorted rectangle coordinates).  The
-    scan runs on the integer lattice of doubled coordinates for speed; the
-    returned moves carry the usual exact rationals.
+    scan runs on the integer lattice of doubled coordinates for speed, through
+    the corner check, corner-sign update and renormalizer that
+    apply_elementary uses; the returned moves carry the usual exact rationals.
     """
     if move_filter not in ("all", "non_increasing", "destabilizations",
                            "exchanges", "stabilizations"):
@@ -161,10 +167,9 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
     for j in range(n):
         verts[(2 * j, 2 * diagram.pos[j])] = 1
         verts[(2 * j, 2 * diagram.neg[j])] = -1
-    vert_items = sorted(verts.items())
 
     rect_keys = set()
-    for (x, y), _s in vert_items:
+    for x, y in verts:
         for ta in range(big):
             for fa in range(big):
                 for t1, t2, f1, f2 in ((x, ta, y, fa), (ta, x, y, fa),
@@ -176,43 +181,21 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
     moves = []
     seen = set()
     for t1, t2, f1, f2 in sorted(rect_keys):
-        w = (t2 - t1) % big
-        h = (f2 - f1) % big
-        hit = []
-        ok = True
-        for (x, y), _s in vert_items:
-            dx = (x - t1) % big
-            dy = (y - f1) % big
-            if dx <= w and dy <= h:
-                cx, cy = dx in (0, w), dy in (0, h)
-                if cx and cy:
-                    hit.append((dx != 0) + 2 * (dy != 0))
-                else:
-                    ok = False
-                    break
-        if not ok or len(hit) not in (1, 2, 3):
-            continue
-        # corner index in cyclic order v1 v2 v3 v4: 0,1 bottom / 3,2 top
-        cyc = sorted({0: 0, 1: 1, 3: 2, 2: 3}[c] for c in hit)
-        if len(cyc) == 2 and (cyc[1] - cyc[0]) % 4 == 2:
+        try:
+            hit = _corner_hits(verts, t1, t2, f1, f2, big)
+        except NotAnElementaryMove:
             continue
         kind = kinds[len(hit) - 1]
         if kind not in wanted:
             continue
-        corner_sigma = {0: 1, 1: -1, 2: 1, 3: -1}  # cyclic corner order
-        first = cyc[0]  # hit corners force a consistent sign on valid moves
-        corner_xy = {0: (t1, f1), 1: (t2, f1), 2: (t2, f2), 3: (t1, f2)}[first]
-        sign = verts[corner_xy] * corner_sigma[first]
+        corners = ((t1, f1), (t2, f1), (t2, f2), (t1, f2))
+        # hit corners force a consistent sign on valid moves
+        sign = verts[corners[hit[0]]] * (1, -1, 1, -1)[hit[0]]
         new = dict(verts)
-        for idx, (cx, cy) in ((0, (t1, f1)), (1, (t2, f1)),
-                              (2, (t2, f2)), (3, (t1, f2))):
-            val = new.get((cx, cy), 0) - sign * corner_sigma[idx]
-            if val == 0:
-                new.pop((cx, cy), None)
-            else:
-                new[(cx, cy)] = val
-        target = _renormalize_int(new)
-        if target is None:
+        _add_corner_signs(new, corners, -sign)
+        try:
+            target = _renormalize(new)
+        except DiagramError:
             continue
         key = (canonical_form(target), kind)
         if key in seen:
@@ -222,34 +205,6 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
             Rectangle.of(Fraction(t1, 2), Fraction(t2, 2),
                          Fraction(f1, 2), Fraction(f2, 2)), sign))
     return moves
-
-
-def _renormalize_int(sigma):
-    """Renormalize an integer-lattice vertex map, or None if not a diagram."""
-    cols, rows = {}, {}
-    for (x, y), v in sigma.items():
-        if v not in (1, -1):
-            return None
-        cols.setdefault(x, []).append(v)
-        rows.setdefault(y, []).append(v)
-    if not sigma or len(cols) != len(rows):
-        return None
-    if any(sorted(vs) != [-1, 1] for vs in cols.values()):
-        return None
-    if any(sorted(vs) != [-1, 1] for vs in rows.values()):
-        return None
-    xi = {x: i for i, x in enumerate(sorted(cols))}
-    yi = {y: i for i, y in enumerate(sorted(rows))}
-    pos = [None] * len(xi)
-    neg = [None] * len(xi)
-    for (x, y), v in sigma.items():
-        if v == 1:
-            pos[xi[x]] = yi[y]
-        else:
-            neg[xi[x]] = yi[y]
-    if len(xi) < 2:
-        return None
-    return GridDiagram(len(xi), tuple(pos), tuple(neg))
 
 
 def classify(diagram: GridDiagram, move: ElementaryMove) -> MoveKind:

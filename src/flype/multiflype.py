@@ -37,7 +37,7 @@ from .annulus import (
     validate_annulus,
 )
 from .errors import AnnulusInvalid, CurveError, InternalInvariantBroken
-from .moves import ElementaryMove, apply_elementary, corner_pattern
+from .moves import ElementaryMove, apply_elementary, conjugate_move, corner_pattern
 from .torus_core import (
     GridDiagram,
     Point,
@@ -267,9 +267,7 @@ def realize_elementary(diagram: GridDiagram, move: ElementaryMove, slope: str):
     else:
         flipped = map_symmetry(m, "flip_theta")
         work = from_characteristic(flipped)
-        rect = Rectangle.of(reduce_mod(-move.rect.theta2, diagram.n),
-                            reduce_mod(-move.rect.theta1, diagram.n),
-                            move.rect.phi1, move.rect.phi2)
+        rect = conjugate_move(move, "flip_theta", diagram.n).rect
         pattern = set(corner_pattern(flipped, rect))
 
     if pattern in _NE_PATTERNS:

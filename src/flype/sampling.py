@@ -16,7 +16,7 @@ from random import Random
 from .annulus import Annulus, MonotoneCurve, locate, validate_annulus, INTERIOR
 from .errors import AnnulusInvalid, CurveError, SlopeViolation
 from .multiflype import DIRECTIONS, MultiflypeSpec
-from .torus_core import GridDiagram, Point, apply_symmetry, pt
+from .torus_core import GridDiagram, apply_symmetry
 
 
 def random_diagram(rng: Random, n: int) -> GridDiagram:

@@ -17,13 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .annulus import Annulus, MonotoneCurve, validate_annulus
-from .errors import AnnulusInvalid, CurveError, FlypeError, SlopeViolation
+from .errors import AnnulusInvalid, CurveError, FlypeError, OutOfRangeValue, SlopeViolation
 from .moves import apply_elementary, enumerate_elementary
 from .multiflype import MultiflypeSpec, apply_multiflype
-from .torus_core import GridDiagram, canonical_form, from_characteristic
+from .torus_core import GridDiagram, canonical_form
 
 MOVESET_ELEMENTARY = "elem"
 MOVESET_WITH_FLYPES = "elem+flype"
@@ -108,6 +107,8 @@ def simplify(diagram: GridDiagram, budget: int = 10 ** 6,
     one shortest witness path each."""
     if move_set not in (MOVESET_ELEMENTARY, MOVESET_WITH_FLYPES):
         raise ValueError(f"unknown move set {move_set!r}")
+    if budget < 1:
+        raise OutOfRangeValue(f"budget {budget} < 1")
     start = canonical_form(diagram)
     parent = {start: None}
     queue = deque([start])

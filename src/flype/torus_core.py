@@ -134,10 +134,6 @@ class Rectangle:
         return (Point(self.theta1, self.phi1), Point(self.theta2, self.phi1),
                 Point(self.theta2, self.phi2), Point(self.theta1, self.phi2))
 
-    def sigma_corners(self) -> dict:
-        v1, v2, v3, v4 = self.corners()
-        return {v1: 1, v2: -1, v3: 1, v4: -1}
-
     def contains(self, p: Point, circumference, closed=True) -> bool:
         return (in_cyclic(self.theta1, self.theta2, p.theta, circumference, closed)
                 and in_cyclic(self.phi1, self.phi2, p.phi, circumference, closed))
@@ -199,8 +195,8 @@ class SignedPointMap:
 
     def add_rectangle(self, rect: Rectangle, coeff: int):
         """Add coeff * sigma_rect in place."""
-        for corner, s in rect.sigma_corners().items():
-            self[corner] = self[corner] + coeff * s
+        c = self.circumference
+        _add_corner_signs(self.entries, [q.reduced(c) for q in rect.corners()], coeff)
 
     def is_diagram(self) -> bool:
         """True iff this is the characteristic function of some grid diagram."""
@@ -214,6 +210,17 @@ class SignedPointMap:
             rows.setdefault(p.phi, []).append(v)
         return (all(sorted(vs) == [-1, 1] for vs in cols.values())
                 and all(sorted(vs) == [-1, 1] for vs in rows.values()))
+
+
+def _add_corner_signs(entries: dict, corners, coeff: int):
+    """Add coeff * (+1, -1, +1, -1) at the corners v1..v4 of a rectangle, in
+    place; entries that reach zero vanish.  Corners must be keyed as entries are."""
+    for q, s in zip(corners, (1, -1, 1, -1)):
+        v = entries.get(q, 0) + coeff * s
+        if v:
+            entries[q] = v
+        else:
+            entries.pop(q, None)
 
 
 def sigma_of_rectangle(rect: Rectangle, circumference) -> SignedPointMap:
@@ -300,46 +307,41 @@ def validate_diagram(points) -> GridDiagram:
     the cyclic order of levels matters for the diagram type.
     """
     seen = {}
-    items = list(points)
-    if not items:
-        raise EmptySet("no vertices")
-    circ = None
-    pts = []
-    for (theta, phi), sign in items:
+    for (theta, phi), sign in points:
         if sign not in (1, -1):
             raise OutOfRangeValue(f"sign {sign} not in {{-1, +1}}")
         p = Point(Fraction(theta), Fraction(phi))
         if p in seen and seen[p] != sign:
             raise CoincidentVertices(f"+ and - vertex at {p}")
         seen[p] = sign
-        pts.append((p, sign))
-    thetas = sorted({p.theta for p, _ in pts})
-    phis = sorted({p.phi for p, _ in pts})
-    tindex = {t: i for i, t in enumerate(thetas)}
-    pindex = {f: i for i, f in enumerate(phis)}
-    cols = {}
-    rows = {}
-    for p, sign in dict(pts).items():
-        cols.setdefault(p.theta, []).append((p.phi, sign))
-        rows.setdefault(p.phi, []).append((p.theta, sign))
+    return _renormalize(seen)
+
+
+def _renormalize(entries: dict) -> GridDiagram:
+    """The diagram of a vertex map {(theta, phi): sign}, levels renumbered in
+    order to 0..n-1.  Coordinates may be of any one exact type (Fraction
+    levels, or the integers of a rescaled lattice)."""
+    if not entries:
+        raise EmptySet("no vertices")
+    cols, rows = {}, {}
+    for p, v in entries.items():
+        if v not in (1, -1):
+            raise OutOfRangeValue(f"value {v} at {p}")
+        cols.setdefault(p[0], []).append(v)
+        rows.setdefault(p[1], []).append(v)
     for t, vs in cols.items():
-        if sorted(s for _, s in vs) != [-1, 1]:
+        if sorted(vs) != [-1, 1]:
             raise ColumnCountMismatch(f"meridian {t} does not carry exactly one + and one -")
     for f, vs in rows.items():
-        if sorted(s for _, s in vs) != [-1, 1]:
+        if sorted(vs) != [-1, 1]:
             raise RowCountMismatch(f"longitude {f} does not carry exactly one + and one -")
-    if len(thetas) != len(phis):
-        raise ColumnCountMismatch("used meridian and longitude counts differ")
-    n = len(thetas)
-    pos = [None] * n
-    neg = [None] * n
-    for p, sign in dict(pts).items():
-        j, k = tindex[p.theta], pindex[p.phi]
-        if sign == 1:
-            pos[j] = k
-        else:
-            neg[j] = k
-    return GridDiagram.make(pos, neg)
+    tindex = {t: i for i, t in enumerate(sorted(cols))}
+    pindex = {f: i for i, f in enumerate(sorted(rows))}
+    pos = [None] * len(tindex)
+    neg = [None] * len(tindex)
+    for (theta, phi), v in entries.items():
+        (pos if v == 1 else neg)[tindex[theta]] = pindex[phi]
+    return GridDiagram(len(pos), tuple(pos), tuple(neg))
 
 
 def characteristic(diagram: GridDiagram) -> SignedPointMap:
@@ -351,10 +353,7 @@ def characteristic(diagram: GridDiagram) -> SignedPointMap:
 
 
 def from_characteristic(m: SignedPointMap) -> GridDiagram:
-    for p, v in m.entries.items():
-        if v not in (1, -1):
-            raise OutOfRangeValue(f"value {v} at {p}")
-    return validate_diagram(((p, v) for p, v in m.entries.items()))
+    return _renormalize(m.entries)
 
 
 def edges(diagram: GridDiagram):
@@ -377,14 +376,6 @@ def complexity(diagram: GridDiagram) -> int:
     return diagram.n
 
 
-def translate(diagram: GridDiagram, a: int, b: int) -> GridDiagram:
-    """Shift columns by a and rows by b (torus translation)."""
-    n = diagram.n
-    pos = tuple((diagram.pos[(j + a) % n] - b) % n for j in range(n))
-    neg = tuple((diagram.neg[(j + a) % n] - b) % n for j in range(n))
-    return GridDiagram(n, pos, neg)
-
-
 def apply_symmetry(diagram: GridDiagram, s: str) -> GridDiagram:
     """Apply flip_theta (theta -> -theta), flip_phi, or both; signs preserved."""
     if s not in ("flip_theta", "flip_phi", "both"):
@@ -402,23 +393,22 @@ def apply_symmetry(diagram: GridDiagram, s: str) -> GridDiagram:
 
 
 def canonical_form(diagram: GridDiagram) -> bytes:
-    """Lexicographically minimal encoding over all n^2 torus translations.
+    """Lexicographically minimal encoding ``n, pos, neg`` over all n^2 torus
+    translations.
 
     Constant exactly on translation orbits; symmetries and rotations are not
-    quotiented out (they may change the diagram type).  Levels are encoded as
-    bytes, so the grid number must be at most 255.
+    quotiented out (they may change the diagram type).  An encoding begins
+    with the shifted row of the first column's positive vertex, and that row
+    is 0 for exactly one row shift, so the minimum is among the n candidates
+    that shift columns by a and rows by pos[a].  Levels are encoded as bytes,
+    so the grid number must be at most 255.
     """
     n = diagram.n
     if n > 255:
         raise OutOfRangeValue(f"grid number {n} > 255 has no canonical form")
-    best = None
-    for a in range(n):
-        for b in range(n):
-            t = translate(diagram, a, b)
-            enc = bytes([n]) + bytes(t.pos) + bytes(t.neg)
-            if best is None or enc < best:
-                best = enc
-    return best
+    pos, neg = diagram.pos, diagram.neg
+    return min(bytes([n, *((v - pos[a]) % n for v in pos[a:] + pos[:a] + neg[a:] + neg[:a])])
+               for a in range(n))
 
 
 def translate_equal(d1: GridDiagram, d2: GridDiagram) -> bool:

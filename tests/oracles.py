@@ -3,8 +3,9 @@
 Each oracle re-derives its answer straight from definitions through a
 different code path than the implementation under test: the bracket by the
 full 2^c state sum over a port graph, annulus membership by the vertical
-order of boundary crossings on a meridian, and the move list by a raw scan of
-all half-integer rectangles with the sigma arithmetic done inline.
+order of boundary crossings on a meridian, the move list by a raw scan of
+all half-integer rectangles with the sigma arithmetic done inline, and the
+canonical form by trying all n^2 torus translations.
 """
 
 from fractions import Fraction
@@ -18,6 +19,32 @@ from flype.torus_core import (
     reduce_mod,
     to_planar,
 )
+
+
+# ---------------------------------------------------------------------------
+# Torus translations and the canonical form over all n^2 of them
+# ---------------------------------------------------------------------------
+
+def translate(diagram: GridDiagram, a: int, b: int) -> GridDiagram:
+    """Shift columns by a and rows by b (torus translation)."""
+    n = diagram.n
+    pos = tuple((diagram.pos[(j + a) % n] - b) % n for j in range(n))
+    neg = tuple((diagram.neg[(j + a) % n] - b) % n for j in range(n))
+    return GridDiagram(n, pos, neg)
+
+
+def brute_canonical_form(diagram: GridDiagram) -> bytes:
+    """Lexicographically minimal encoding over every translation, each built
+    as a validated GridDiagram."""
+    n = diagram.n
+    best = None
+    for a in range(n):
+        for b in range(n):
+            t = translate(diagram, a, b)
+            enc = bytes([n]) + bytes(t.pos) + bytes(t.neg)
+            if best is None or enc < best:
+                best = enc
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from flype.decompose import (
     pick_u0,
     validate_certificate,
 )
+from flype.errors import InternalInvariantBroken
 from flype.moves import BOTH_FAMILIES, DOWN_FAMILY, UP_FAMILY, classify
 from flype.multiflype import MultiflypeSpec, apply_multiflype, flype_sum_map
 from flype.sampling import random_annulus, random_diagram, random_flype_case
@@ -45,7 +46,6 @@ from flype.torus_core import (
     parse,
     reduce_mod,
     sigma_of_rectangle,
-    translate,
     translate_equal,
 )
 
@@ -179,6 +179,23 @@ def test_pinned_case_requiring_boundary_perturbation():
     assert decompose_mod.counters["perturbed"] >= 1
     assert validate_certificate(cert)
     assert len(cert) == 6
+
+
+def test_failed_proof_check_is_not_retried(monkeypatch):
+    """Epsilon halving retries geometric failures only; a broken measure
+    check in the NW perturbation case propagates after one attempt."""
+    calls = []
+
+    def stuck_count(m, annulus, om):
+        calls.append(om)
+        return 3
+
+    monkeypatch.setattr(decompose_mod, "_omega_count", stuck_count)
+    spec = MultiflypeSpec(parse_annulus(PERTURB_ANNULUS), "NW")
+    with pytest.raises(InternalInvariantBroken) as err:
+        decompose(parse(PERTURB_GRID), spec)
+    assert err.value.message == "measure did not decrease by one"
+    assert len(calls) == 2  # the starting count and one check
 
 
 def test_conjugate_rectangle_sigma_identity():

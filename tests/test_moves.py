@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oracles import brute_transitions
+from oracles import brute_transitions, translate
 from flype.errors import GridSyntaxError, InvalidResult, NotAnElementaryMove
 from flype.invariants import jones
 from flype.moves import (
@@ -35,7 +35,6 @@ from flype.torus_core import (
     canonical_form,
     characteristic,
     complexity,
-    translate,
     translate_equal,
 )
 

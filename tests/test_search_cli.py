@@ -51,6 +51,14 @@ def test_budget_flag():
     assert report.budget_exceeded
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_budget_below_one(tmp_path, capsys, budget):
+    grid = tmp_path / "u2.grid"
+    grid.write_text(serialize(UNKNOT2), encoding="utf-8")
+    assert cli(["simplify", "--grid", str(grid), "--budget", budget]) == 1
+    assert capsys.readouterr().err.startswith("E:OutOfRangeValue:")
+
+
 def test_witness_paths_are_shortest_and_valid():
     stabbed = GridDiagram.make((1, 0, 2), (2, 1, 0))
     report = simplify(stabbed)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_canonical_form, translate
 from flype.errors import (
     CoincidentVertices,
     ColumnCountMismatch,
@@ -33,7 +34,6 @@ from flype.torus_core import (
     serialize,
     sigma_of_rectangle,
     to_planar,
-    translate,
     translate_equal,
     validate_diagram,
 )
@@ -143,6 +143,18 @@ def test_canonical_form_translation_orbits_exhaustive():
             assert form not in seen or seen[form] == (d.pos, d.neg)
             seen[form] = (d.pos, d.neg)
         assert len(seen) == len(reps)
+
+
+def test_canonical_form_matches_all_translations_reference():
+    """The n candidates with pos[0] = 0 contain the minimum over all n^2:
+    one shifted member of every class with n <= 5, and random n = 8, 12."""
+    from flype.search import all_diagrams
+    rng = Random(8)
+    cases = [translate(d, rng.randrange(n), rng.randrange(n))
+             for n in (2, 3, 4, 5) for d in all_diagrams(n)]
+    cases += [random_diagram(rng, n) for n in (8, 12) for _ in range(10)]
+    for d in cases:
+        assert canonical_form(d) == brute_canonical_form(d)
 
 
 def test_canonical_form_shift_example():
