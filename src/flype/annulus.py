@@ -18,6 +18,13 @@ predicate here a one-dimensional exact computation: a meridian meets the
 curve p times per period, and disjointness of two curves says a certain
 periodic PL function avoids all multiples of C.
 
+Each curve is compiled once, when it is built, into a table of integers:
+its breakpoints, the closing point included, and C, all scaled by D, the
+least common multiple of their denominators.  The graph, meridian,
+longitude and ray queries take a query coordinate a/b as the integers a and
+b, and compare and floor-divide by integer cross-multiplication; a
+``Fraction`` is built only for a value returned to the caller.
+
 Every construction is read off one ray cast, ``_first_hit``: the first
 boundary point on a ray from x in one of six directions, each transverse to
 the positive-slope boundary.  Membership (``locate``) casts (1,-1), which
@@ -64,7 +71,16 @@ OUTSIDE = "outside"
 
 @dataclass(frozen=True)
 class MonotoneCurve:
-    """Closed strictly-increasing PL curve on the torus, one lifted period."""
+    """Closed strictly-increasing PL curve on the torus, one lifted period.
+
+    Construction compiles the curve once into ``_table``, a flat tuple of
+    ints ``(D, C*D, X0, Y0, X1, Y1, ..., Xk, Yk)``: D is the least common
+    multiple of the denominators of C and of every breakpoint coordinate,
+    and (Xi, Yi) = D * (xi, yi), the closing point (x0 + pC, y0 + qC) last.
+    ``y_at``, ``x_lifts_of``, ``contains_point`` and the crossing queries
+    take a query value a/b as the integers a and b and cross-multiply;
+    a ``Fraction`` is built only for a value they return.
+    """
 
     breakpoints: tuple
     winding: tuple
@@ -85,6 +101,18 @@ class MonotoneCurve:
                     f"segment ({x1},{y1})->({x2},{y2}) is not strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "circumference", c)
+        # lcm(d, den) = d * (den / gcd(d, den)), the second factor being the
+        # denominator of d/den in lowest terms: math.lcm would break the
+        # no-float audit, which bans every math import
+        d = c.denominator
+        for x, y in pts:
+            for den in (x.denominator, y.denominator):
+                if d % den:
+                    d *= Fraction(d, den).denominator
+        table = [d, c.numerator * (d // c.denominator)]
+        for x, y in closed:
+            table += (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+        object.__setattr__(self, "_table", tuple(table))
 
     # -- lifted graph structure ------------------------------------------
 
@@ -98,29 +126,41 @@ class MonotoneCurve:
         pts.append((pts[0][0] + px, pts[0][1] + py))
         return list(zip(pts, pts[1:]))
 
+    def _lifts(self, a, b):
+        """D*b times the p lifted parameters over the meridian at a/b."""
+        t = self._table
+        step = t[1] * b
+        n = a * t[0]
+        n -= (n - t[2] * b) // step * step  # least lift >= x0
+        return [n + i * step for i in range(self.winding[0])]
+
+    def _height(self, n, b):
+        """D*y(x) as (numerator, denominator) at the lifted x = n/(D*b)."""
+        t = self._table
+        p, q = self.winding
+        step = p * t[1] * b
+        k = (n - t[2] * b) // step
+        n -= k * step
+        for i in range(2, len(t) - 2, 2):
+            if n <= t[i + 2] * b:
+                x1, y1 = t[i], t[i + 1]
+                dx = t[i + 2] - x1
+                return ((y1 + k * q * t[1]) * b * dx + (n - x1 * b) * (t[i + 3] - y1),
+                        b * dx)
+        raise InternalInvariantBroken("graph evaluation outside the period")
+
     def y_at(self, x) -> Fraction:
         """Graph evaluation in the lift: y(x + pC) = y(x) + qC."""
-        x = Fraction(x)
-        px, py = self.period()
-        k = (x - self.breakpoints[0][0]) // px
-        xr = x - k * px
-        for (x1, y1), (x2, y2) in self.segments():
-            if x1 <= xr <= x2:
-                return y1 + (xr - x1) * (y2 - y1) / (x2 - x1) + k * py
-        raise InternalInvariantBroken("graph evaluation outside the period")
+        a, b = _num_den(x)
+        d = self._table[0]
+        num, den = self._height(a * d, b)
+        return Fraction(num, den * d)
 
     def x_lifts_of(self, theta):
         """The p lifted parameters over the meridian m_theta, one period."""
-        px, _ = self.period()
-        c = self.circumference
-        x0 = self.breakpoints[0][0]
-        base = Fraction(theta) + ((x0 - Fraction(theta)) / c).__ceil__() * c
-        out = []
-        x = base
-        while x < x0 + px:
-            out.append(x)
-            x += c
-        return out
+        a, b = _num_den(theta)
+        den = b * self._table[0]
+        return [Fraction(n, den) for n in self._lifts(a, b)]
 
     def kinks_between(self, x_lo, x_hi):
         """Lifted x of all breakpoint copies in [x_lo, x_hi]."""
@@ -138,27 +178,40 @@ class MonotoneCurve:
     # -- torus-level queries ----------------------------------------------
 
     def contains_point(self, point) -> bool:
-        p = Point(Fraction(point[0]), Fraction(point[1])).reduced(self.circumference)
-        return any(reduce_mod(self.y_at(x) - p.phi, self.circumference) == 0
-                   for x in self.x_lifts_of(p.theta))
+        a, b = _num_den(point[0])
+        e, f = _num_den(point[1])
+        d, cd = self._table[0], self._table[1]
+        for n in self._lifts(a, b):
+            num, den = self._height(n, b)
+            if (num * f - e * d * den) % (cd * den * f) == 0:
+                return True
+        return False
 
     def meridian_crossings(self, theta):
         """Reduced heights of the p crossings with the meridian m_theta."""
-        c = self.circumference
-        return [reduce_mod(self.y_at(x), c) for x in self.x_lifts_of(theta)]
+        a, b = _num_den(theta)
+        d, cd = self._table[0], self._table[1]
+        out = []
+        for n in self._lifts(a, b):
+            num, den = self._height(n, b)
+            out.append(Fraction(num % (cd * den), den * d))
+        return out
 
     def longitude_crossings(self, phi):
         """Reduced theta of the q crossings with the longitude l_phi."""
-        c = self.circumference
-        phi = reduce_mod(phi, c)
+        e, f = _num_den(phi)
+        t = self._table
+        d, step = t[0], t[1] * f
+        level = e * d
         out = []
-        for (x1, y1), (x2, y2) in self.segments():
-            b = ((y1 - phi) / c).__ceil__()
-            y = phi + b * c
-            while y < y2:  # half-open in y: each crossing counted once
-                if y >= y1:
-                    out.append(reduce_mod(x1 + (y - y1) * (x2 - x1) / (y2 - y1), c))
-                y += c
+        for i in range(2, len(t) - 2, 2):
+            x1, y1 = t[i], t[i + 1]
+            dx, dy = t[i + 2] - x1, t[i + 3] - y1
+            y = level - (level - y1 * f) // step * step  # least copy >= y1
+            while y < t[i + 3] * f:  # half-open in y: each crossing counted once
+                num = x1 * f * dy + (y - y1 * f) * dx
+                out.append(Fraction(num % (step * dy), f * dy * d))
+                y += step
         return out
 
     def normalized(self) -> "MonotoneCurve":
@@ -278,13 +331,11 @@ def negate_annulus(annulus: Annulus) -> Annulus:
 
 def locate(annulus: Annulus, point) -> str:
     """Exact membership via the first boundary hit of the (1,-1)-ray."""
-    c = annulus.circumference
-    x = Point(Fraction(point[0]), Fraction(point[1])).reduced(c)
-    if annulus.b1.contains_point(x):
+    if annulus.b1.contains_point(point):
         return ON_B1
-    if annulus.b2.contains_point(x):
+    if annulus.b2.contains_point(point):
         return ON_B2
-    tag, _pt, _t = _first_hit(annulus, x, (1, -1))
+    tag, _pt, _t = _first_hit(annulus, point, (1, -1))
     return INTERIOR if tag == ON_B1 else OUTSIDE
 
 
@@ -294,39 +345,51 @@ def _first_hit(annulus: Annulus, x, direction):
     ``direction`` is one of (+-1, 0), (0, +-1), +-(1, -1); each ray closes up
     after t = C.  The level |dphi|*theta + |dtheta|*phi is constant along the
     ray and strictly increasing along every boundary segment, so the ray
-    meets a segment where the level takes its value mod C.
+    meets a segment where the level takes its value mod C.  With x = (a, e)/b,
+    levels along a curve are integers over D*b; a hit and its distance t are
+    integers over D*b*rise, rise being the segment's level increase times D,
+    and two distances compare by cross-multiplication.
     """
-    c = annulus.circumference
     dx, dy = direction
-    theta, phi = x
-    target = _level(direction, theta, phi)
+    a, b = _num_den(x[0])
+    e, f = _num_den(x[1])
+    if b != f:
+        a, e, b = a * f, e * b, b * f
+    target = (a if dy else 0) + (e if dx else 0)
+    # the ray moves along theta when dx != 0, else along phi
+    along, origin, sign = (0, a, dx) if dx else (1, e, dy)
     best = None
     for tag, curve in annulus.curves():
-        for (x1, y1), (x2, y2) in curve.segments():
-            g1, g2 = _level(direction, x1, y1), _level(direction, x2, y2)
-            val = target - ((target - g1) // c) * c  # least val >= g1
-            while val < g2:  # half-open [g1, g2): each crossing counted once
-                s = (val - g1) / (g2 - g1)
-                if dx:
-                    d = x1 + s * (x2 - x1) - theta
-                    t = reduce_mod(d if dx > 0 else -d, c)
-                else:
-                    d = y1 + s * (y2 - y1) - phi
-                    t = reduce_mod(d if dy > 0 else -d, c)
-                if t != 0 and (best is None or t < best[0]):
-                    best = (t, tag, (x1, y1), (x2, y2), s)
-                val += c
+        t = curve._table
+        d, step = t[0], t[1] * b
+        level = target * d
+        for i in range(2, len(t) - 2, 2):
+            x1, y1, x2, y2 = t[i], t[i + 1], t[i + 2], t[i + 3]
+            g1 = (x1 if dy else 0) + (y1 if dx else 0)
+            rise = (x2 if dy else 0) + (y2 if dx else 0) - g1
+            val = level - (level - g1 * b) // step * step  # least copy >= g1
+            while val < (g1 + rise) * b:  # half-open: each crossing counted once
+                # the hit point and the distance t, times D*b*rise
+                s = val - g1 * b
+                hit = (x1 * b * rise + s * (x2 - x1), y1 * b * rise + s * (y2 - y1))
+                mod = step * rise
+                num = sign * (hit[along] - origin * d * rise) % mod
+                den = d * b * rise
+                if num and (best is None or num * best[1] < best[0] * den):
+                    best = (num, den, tag, hit, mod)
+                val += step
     if best is None:
         raise InternalInvariantBroken(f"the {direction} ray missed the boundary")
-    t, tag, (x1, y1), (x2, y2), s = best
-    return tag, Point(reduce_mod(x1 + s * (x2 - x1), c), reduce_mod(y1 + s * (y2 - y1), c)), t
+    num, den, tag, hit, mod = best
+    return (tag, Point(Fraction(hit[0] % mod, den), Fraction(hit[1] % mod, den)),
+            Fraction(num, den))
 
 
-def _level(direction, theta, phi):
-    dx, dy = direction
-    if dx and dy:
-        return theta + phi
-    return phi if dx else theta
+def _num_den(v):
+    """Numerator and denominator of an exact rational, in lowest terms."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def _expect_hit(annulus: Annulus, x: Point, direction, tag: str) -> Point:
@@ -503,9 +566,6 @@ class SubPolyline:
     """A forward piece of a boundary curve, as lifted points, with evaluation."""
 
     points: tuple  # lifted, strictly increasing
-
-    def x_span(self):
-        return self.points[0][0], self.points[-1][0]
 
     def y_at(self, x) -> Fraction:
         for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):

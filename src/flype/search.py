@@ -90,9 +90,12 @@ def _flype_neighbors(diagram: GridDiagram):
     """Complexity-preserving multiflypes over the generated annulus family."""
     neighbors = []
     for ann in _staircase_family(diagram.n):
+        try:
+            validate_annulus(ann, diagram)
+        except FlypeError:
+            continue
         for direction in ("NE", "SW"):
             try:
-                validate_annulus(ann, diagram)
                 out = apply_multiflype(diagram, MultiflypeSpec(ann, direction))
             except FlypeError:
                 continue

@@ -33,7 +33,10 @@ Coord = Fraction  # exact rational in [0; C), reduction is canonical
 
 def reduce_mod(x, circumference) -> Fraction:
     """Canonical representative of x in [0; circumference)."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if 0 <= x < circumference:
+        return x
     return x - (x // circumference) * circumference
 
 

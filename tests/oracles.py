@@ -4,8 +4,9 @@ Each oracle re-derives its answer straight from definitions through a
 different code path than the implementation under test: the bracket by the
 full 2^c state sum over a port graph, annulus membership by the vertical
 order of boundary crossings on a meridian, the move list by a raw scan of
-all half-integer rectangles with the sigma arithmetic done inline, and the
-canonical form by trying all n^2 torus translations.
+all half-integer rectangles with the sigma arithmetic done inline, the
+canonical form by trying all n^2 torus translations, and the boundary-curve
+queries and ray cast by ``Fraction`` arithmetic over each segment.
 """
 
 from fractions import Fraction
@@ -159,7 +160,7 @@ def membership_oracle(annulus, point) -> str:
     p = Point(Fraction(point[0]), Fraction(point[1])).reduced(c)
     hits = []
     for tag, curve in (("on_b1", annulus.b1), ("on_b2", annulus.b2)):
-        for h in curve.meridian_crossings(p.theta):
+        for h in ref_meridian_crossings(curve, p.theta):
             hits.append((tag, h))
     for tag, h in hits:
         if h == p.phi:
@@ -311,3 +312,104 @@ def omega_polygon_oracle(om):
         return False
 
     return member
+
+
+# ---------------------------------------------------------------------------
+# Boundary-curve queries in Fraction arithmetic, segment by segment
+# ---------------------------------------------------------------------------
+
+def _segments(curve):
+    p, q = curve.winding
+    c = curve.circumference
+    pts = list(curve.breakpoints)
+    pts.append((pts[0][0] + p * c, pts[0][1] + q * c))
+    return list(zip(pts, pts[1:]))
+
+
+def ref_y_at(curve, x) -> Fraction:
+    """Graph evaluation in the lift: y(x + pC) = y(x) + qC."""
+    x = Fraction(x)
+    p, q = curve.winding
+    px, py = p * curve.circumference, q * curve.circumference
+    k = (x - curve.breakpoints[0][0]) // px
+    xr = x - k * px
+    for (x1, y1), (x2, y2) in _segments(curve):
+        if x1 <= xr <= x2:
+            return y1 + (xr - x1) * (y2 - y1) / (x2 - x1) + k * py
+    raise AssertionError("graph evaluation outside the period")
+
+
+def ref_x_lifts_of(curve, theta):
+    """The p lifted parameters over the meridian m_theta, one period."""
+    c = curve.circumference
+    x0 = curve.breakpoints[0][0]
+    base = Fraction(theta) + ((x0 - Fraction(theta)) / c).__ceil__() * c
+    out = []
+    x = base
+    while x < x0 + curve.winding[0] * c:
+        out.append(x)
+        x += c
+    return out
+
+
+def ref_contains_point(curve, point) -> bool:
+    p = Point(Fraction(point[0]), Fraction(point[1])).reduced(curve.circumference)
+    return any(reduce_mod(ref_y_at(curve, x) - p.phi, curve.circumference) == 0
+               for x in ref_x_lifts_of(curve, p.theta))
+
+
+def ref_meridian_crossings(curve, theta):
+    """Reduced heights of the p crossings with the meridian m_theta."""
+    c = curve.circumference
+    return [reduce_mod(ref_y_at(curve, x), c) for x in ref_x_lifts_of(curve, theta)]
+
+
+def ref_longitude_crossings(curve, phi):
+    """Reduced theta of the q crossings with the longitude l_phi."""
+    c = curve.circumference
+    phi = reduce_mod(phi, c)
+    out = []
+    for (x1, y1), (x2, y2) in _segments(curve):
+        b = ((y1 - phi) / c).__ceil__()
+        y = phi + b * c
+        while y < y2:  # half-open in y: each crossing counted once
+            if y >= y1:
+                out.append(reduce_mod(x1 + (y - y1) * (x2 - x1) / (y2 - y1), c))
+            y += c
+    return out
+
+
+def _level(direction, theta, phi):
+    dx, dy = direction
+    if dx and dy:
+        return theta + phi
+    return phi if dx else theta
+
+
+def ref_first_hit(annulus, x, direction):
+    """First boundary point on {x + t*direction : t > 0} as (tag, point, t),
+    by scanning every segment for the copies of the ray's level on it."""
+    c = annulus.circumference
+    dx, dy = direction
+    theta, phi = Fraction(x[0]), Fraction(x[1])
+    target = _level(direction, theta, phi)
+    best = None
+    for tag, curve in annulus.curves():
+        for (x1, y1), (x2, y2) in _segments(curve):
+            g1, g2 = _level(direction, x1, y1), _level(direction, x2, y2)
+            val = target - ((target - g1) // c) * c  # least val >= g1
+            while val < g2:  # half-open [g1, g2): each crossing counted once
+                s = (val - g1) / (g2 - g1)
+                if dx:
+                    d = x1 + s * (x2 - x1) - theta
+                    t = reduce_mod(d if dx > 0 else -d, c)
+                else:
+                    d = y1 + s * (y2 - y1) - phi
+                    t = reduce_mod(d if dy > 0 else -d, c)
+                if t != 0 and (best is None or t < best[0]):
+                    best = (t, tag, (x1, y1), (x2, y2), s)
+                val += c
+    if best is None:
+        raise AssertionError(f"the {direction} ray missed the boundary")
+    t, tag, (x1, y1), (x2, y2), s = best
+    return tag, Point(reduce_mod(x1 + s * (x2 - x1), c), reduce_mod(y1 + s * (y2 - y1), c)), t

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import oracles
 from oracles import membership_oracle
 from flype.annulus import (
     Annulus,
@@ -13,6 +14,7 @@ from flype.annulus import (
     ON_B1,
     ON_B2,
     OUTSIDE,
+    _first_hit,
     bar,
     co_rect,
     locate,
@@ -33,7 +35,9 @@ from flype.errors import (
     Outside,
     SlopeViolation,
 )
-from flype.sampling import random_annulus, random_diagram
+from flype.moves import enumerate_elementary
+from flype.multiflype import thin_move_annulus
+from flype.sampling import random_annulus, random_diagram, random_flype_case
 from flype.torus_core import Point, TREFOIL5, UNKNOT2, cyc_dist, pt, reduce_mod
 
 DIAG = Annulus(MonotoneCurve(((F(1, 4), 0),), (1, 1), 2),
@@ -314,3 +318,47 @@ def test_sub_polyline_evaluation():
     piece = sub_polyline(curve, (0, 0), (1, F(1, 2)))
     assert piece.points[0] == (0, 0) and piece.points[-1] == (1, F(1, 2))
     assert piece.y_at(F(1, 2)) == F(1, 4)
+
+
+def _kernel_cases():
+    """Seeded flype annuli, twice-perturbed copies of them (D up to about
+    1e14) and thin bands around elementary moves."""
+    rng = Random(15)
+    out = []
+    for _ in range(5):
+        d, spec = random_flype_case(rng, n_max=8)
+        ann = spec.annulus
+        theta = F(rng.randrange(0, 4 * d.n), 4) + F(1, 16)
+        once = perturb_boundary(ann, theta, set(), d)
+        moves = enumerate_elementary(d, "all")
+        out += [(ann, rng), (perturb_boundary(once, theta + F(3, 7), set(), d), rng),
+                (thin_move_annulus(d, moves[len(moves) // 2].rect), rng)]
+    return out
+
+
+def test_integer_kernel_matches_fraction_reference():
+    """The scaled-integer curve queries and ray cast give exactly the values
+    of the segment-by-segment Fraction computations in ``oracles``."""
+    big_d = 0
+    for ann, rng in _kernel_cases():
+        eighths = int(8 * ann.circumference)
+        big_d = max(big_d, ann.b1._table[0], ann.b2._table[0])
+        points = [(F(rng.randrange(eighths), den), F(rng.randrange(eighths), den))
+                  for den in (8, 8, 7, 3072)]
+        for curve in ann.b1, ann.b2:
+            points += rng.sample(curve.breakpoints, 2)
+            theta = F(rng.randrange(eighths), 8)
+            points += [(theta, h) for h in oracles.ref_meridian_crossings(curve, theta)]
+        for p in points:
+            for curve in ann.b1, ann.b2:
+                assert curve.y_at(p[0]) == oracles.ref_y_at(curve, p[0])
+                assert curve.x_lifts_of(p[0]) == oracles.ref_x_lifts_of(curve, p[0])
+                assert curve.contains_point(p) == oracles.ref_contains_point(curve, p)
+                assert (curve.meridian_crossings(p[0])
+                        == oracles.ref_meridian_crossings(curve, p[0]))
+                assert (curve.longitude_crossings(p[1])
+                        == oracles.ref_longitude_crossings(curve, p[1]))
+            for direction in (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1):
+                assert (_first_hit(ann, p, direction)
+                        == oracles.ref_first_hit(ann, p, direction))
+    assert big_d > 10 ** 12

@@ -1,6 +1,8 @@
 """Source-level audit of the package modules."""
 
 import ast
+import importlib.util
+import inspect
 import pathlib
 
 import flype
@@ -27,3 +29,24 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_benchmark_trace_hooks_resolve():
+    """Every ``module.fn`` and ``module.Class.method`` that the benchmark's
+    tracer wraps is still a function of that name in ``flype``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.LAYERS.items():
+        mod = importlib.import_module(f"flype.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                fn = vars(getattr(mod, cls_name, object)).get(meth)
+            else:
+                fn = getattr(mod, name, None)
+            if not inspect.isfunction(fn):
+                missing.append(f"{layer}.{name}")
+    assert not missing, missing
