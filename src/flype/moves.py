@@ -9,10 +9,16 @@ resulting map is again a diagram characteristic.  One corner gains a level
 
 New coordinate levels are enumerated at half-integers, one per gap between
 used levels; since only cyclic order matters, this is exhaustive up to
-renormalization.  The enumeration scans the doubled-integer lattice and
-apply_elementary works on rational levels, but both go through one corner
-check (``_corner_hits``), one corner-sign update and one renormalizer
-(``torus_core._renormalize``).
+renormalization.  The enumeration works on the doubled-integer lattice.
+Exchanges and destabilizations are built from vertex pairs: two successive
+corners share a side, so they are the two vertices of one column or of one
+row, and the opposite side ranges over the lattice.  Stabilizations have a
+single vertex corner and keep the scan over every rectangle with a corner on
+a vertex.  apply_elementary scales the diagram and the rectangle by the least
+common multiple D of the rectangle's denominators and works on integers.
+Both, and corner_pattern on the rational maps of the decomposition, go
+through one corner check (``_corner_hits``), one corner-sign update and one
+renormalizer (``torus_core._renormalize``).
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ from fractions import Fraction
 from .errors import DiagramError, GridSyntaxError, InvalidResult, NotAnElementaryMove
 from .torus_core import (
     GridDiagram,
+    Point,
     Rectangle,
     SignedPointMap,
     _add_corner_signs,
     _renormalize,
     canonical_form,
     characteristic,
-    from_characteristic,
     translate_equal,
 )
 
@@ -73,10 +79,11 @@ def corner_pattern(m: SignedPointMap, rect: Rectangle):
                         m.circumference)
 
 
-def _corner_hits(verts: dict, t1, t2, f1, f2, c):
+def _corner_hits(verts: dict, t1, t2, f1, f2, c, scale=None):
     """corner_pattern on a reduced vertex map {(theta, phi): sign} whose
     coordinates, the rectangle's and the circumference c are all Fractions
-    or all integers."""
+    or all integers.  When the integers are levels multiplied by scale, an
+    error names the vertex at its own levels."""
     w, h = (t2 - t1) % c, (f2 - f1) % c
     if not w or not h:
         raise NotAnElementaryMove("rectangle corners are not distinct")
@@ -85,6 +92,8 @@ def _corner_hits(verts: dict, t1, t2, f1, f2, c):
         dx, dy = (p[0] - t1) % c, (p[1] - f1) % c
         if dx <= w and dy <= h:
             if dx not in (0, w) or dy not in (0, h):
+                if scale is not None:
+                    p = Point(Fraction(p[0], scale), Fraction(p[1], scale))
                 raise NotAnElementaryMove(f"vertex {p} inside the rectangle")
             hit.append((0, 1, 3, 2)[(dx != 0) + 2 * (dy != 0)])
     hit = tuple(sorted(hit))
@@ -136,10 +145,34 @@ def conjugate_move(move: ElementaryMove, symmetry: str, circumference) -> Elemen
 
 
 def apply_elementary(diagram: GridDiagram, move: ElementaryMove) -> GridDiagram:
-    """Apply sigma_R - sign*sigma_rect and renormalize."""
+    """Apply sigma_R - sign*sigma_rect and renormalize.
+
+    Works on the lattice scaled by D, the least common multiple of the
+    rectangle's denominators: vertex (j, row) becomes (j*D, row*D) and the
+    circumference n*D, so every coordinate is an integer.
+    """
     if move.sign not in (1, -1):
         raise NotAnElementaryMove(f"sign {move.sign}")
-    return from_characteristic(apply_move_to_map(characteristic(diagram), move))
+    r = move.rect
+    coords = (r.theta1, r.theta2, r.phi1, r.phi2)
+    scale = 1
+    for q in coords:  # lcm by Euclid: the no-float audit bans every math import
+        a, b = scale, q.denominator
+        while b:
+            a, b = b, a % b
+        scale *= q.denominator // a
+    c = diagram.n * scale
+    t1, t2, f1, f2 = (q.numerator * (scale // q.denominator) % c for q in coords)
+    verts = {}
+    for j in range(diagram.n):
+        verts[(j * scale, diagram.pos[j] * scale)] = 1
+        verts[(j * scale, diagram.neg[j] * scale)] = -1
+    _corner_hits(verts, t1, t2, f1, f2, c, scale)
+    _add_corner_signs(verts, ((t1, f1), (t2, f1), (t2, f2), (t1, f2)), -move.sign)
+    try:
+        return _renormalize(verts)
+    except DiagramError:
+        raise InvalidResult("resulting map is not a diagram characteristic") from None
 
 
 def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
@@ -150,6 +183,14 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
     scan runs on the integer lattice of doubled coordinates for speed, through
     the corner check, corner-sign update and renormalizer that
     apply_elementary uses; the returned moves carry the usual exact rationals.
+
+    Candidates: an exchange or destabilization meets the diagram in two
+    successive corners, which share a side and so are the two vertices of one
+    column x (rectangles (x, o, a, b), (o, x, a, b) and their row swaps, for
+    every other level o) or of one row.  Without stabilizations only these
+    are tried; they include every legal non-increasing rectangle, so the
+    result equals the full scan's.  A stabilization meets one corner, so the
+    filters that ask for it scan every rectangle with a corner on a vertex.
     """
     if move_filter not in ("all", "non_increasing", "destabilizations",
                            "exchanges", "stabilizations"):
@@ -169,13 +210,28 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
         verts[(2 * j, 2 * diagram.neg[j])] = -1
 
     rect_keys = set()
-    for x, y in verts:
-        for ta in range(big):
-            for fa in range(big):
-                for t1, t2, f1, f2 in ((x, ta, y, fa), (ta, x, y, fa),
-                                       (ta, x, fa, y), (x, ta, fa, y)):
-                    if t1 != t2 and f1 != f2:
-                        rect_keys.add((t1, t2, f1, f2))
+    if STABILIZATION in wanted:
+        for x, y in verts:
+            for ta in range(big):
+                for fa in range(big):
+                    for t1, t2, f1, f2 in ((x, ta, y, fa), (ta, x, y, fa),
+                                           (ta, x, fa, y), (x, ta, fa, y)):
+                        if t1 != t2 and f1 != f2:
+                            rect_keys.add((t1, t2, f1, f2))
+    else:
+        cols, rows = {}, {}
+        for x, y in verts:
+            cols.setdefault(x, []).append(y)
+            rows.setdefault(y, []).append(x)
+        for o in range(big):
+            for x, (a, b) in cols.items():
+                if o != x:
+                    rect_keys.update(((x, o, a, b), (x, o, b, a),
+                                      (o, x, a, b), (o, x, b, a)))
+            for y, (a, b) in rows.items():
+                if o != y:
+                    rect_keys.update(((a, b, y, o), (b, a, y, o),
+                                      (a, b, o, y), (b, a, o, y)))
 
     kinds = (STABILIZATION, EXCHANGE, DESTABILIZATION)
     moves = []

@@ -22,7 +22,7 @@ from .annulus import Annulus, MonotoneCurve, validate_annulus
 from .errors import AnnulusInvalid, CurveError, FlypeError, OutOfRangeValue, SlopeViolation
 from .moves import apply_elementary, enumerate_elementary
 from .multiflype import MultiflypeSpec, apply_multiflype
-from .torus_core import GridDiagram, canonical_form
+from .torus_core import GridDiagram, canonical_form, characteristic
 
 MOVESET_ELEMENTARY = "elem"
 MOVESET_WITH_FLYPES = "elem+flype"
@@ -89,9 +89,10 @@ def _staircase_family(n: int):
 def _flype_neighbors(diagram: GridDiagram):
     """Complexity-preserving multiflypes over the generated annulus family."""
     neighbors = []
+    m = characteristic(diagram)
     for ann in _staircase_family(diagram.n):
         try:
-            validate_annulus(ann, diagram)
+            validate_annulus(ann, m)
         except FlypeError:
             continue
         for direction in ("NE", "SW"):
@@ -176,8 +177,8 @@ def unknot_census(n_max: int) -> dict:
     unknot is answered by reachability inside it.
     """
     from .invariants import jones
-    if n_max > 5:
-        raise ValueError("census is sized for n_max <= 5")
+    if not 2 <= n_max <= 5:
+        raise ValueError("census is sized for 2 <= n_max <= 5")
     one = jones(GridDiagram.make((0, 1), (1, 0)))
 
     per_n = {n: all_diagrams(n) for n in range(2, n_max + 1)}

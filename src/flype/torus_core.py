@@ -350,8 +350,11 @@ def _renormalize(entries: dict) -> GridDiagram:
 def characteristic(diagram: GridDiagram) -> SignedPointMap:
     """The +-1-valued map sigma_R recording vertex positions and signs."""
     m = SignedPointMap(diagram.n)
-    for p, s in diagram.vertices():
-        m[p] = s
+    entries = m.entries  # integer levels 0..n-1 are already reduced
+    for j in range(diagram.n):
+        theta = Fraction(j)
+        entries[Point(theta, Fraction(diagram.pos[j]))] = 1
+        entries[Point(theta, Fraction(diagram.neg[j]))] = -1
     return m
 
 

@@ -6,17 +6,34 @@ full 2^c state sum over a port graph, annulus membership by the vertical
 order of boundary crossings on a meridian, the move list by a raw scan of
 all half-integer rectangles with the sigma arithmetic done inline, the
 canonical form by trying all n^2 torus translations, and the boundary-curve
-queries and ray cast by ``Fraction`` arithmetic over each segment.
+queries and ray cast by ``Fraction`` arithmetic over each segment.  The
+library's move layer is also checked against its previous forms: the scan of
+every rectangle with a corner on a vertex, and the move applied to the
+``Fraction``-keyed characteristic map.
 """
 
 from fractions import Fraction
 
+from flype.errors import DiagramError, NotAnElementaryMove
 from flype.invariants import LaurentPolynomial
+from flype.moves import (
+    DESTABILIZATION,
+    EXCHANGE,
+    STABILIZATION,
+    ElementaryMove,
+    _corner_hits,
+    apply_move_to_map,
+)
 from flype.torus_core import (
     GridDiagram,
     Point,
+    Rectangle,
+    _add_corner_signs,
+    _renormalize,
     canonical_form,
+    characteristic,
     cyc_dist,
+    from_characteristic,
     reduce_mod,
     to_planar,
 )
@@ -218,6 +235,59 @@ def brute_transitions(diagram: GridDiagram):
                                     "destabilization")[len(hit) - 1]
                             out.add((canonical_form(target), kind))
     return out
+
+
+def brute_enumerate_elementary(diagram: GridDiagram):
+    """(move, kind) for every legal move, deduplicated by (target, kind) in
+    sorted rectangle order, from every rectangle on the doubled lattice that
+    has a corner on a vertex: 4*(2n)^2 per vertex.  The moves of one kind, or
+    of a set of kinds, are then exactly what enumerate_elementary returns for
+    the matching filter."""
+    n = diagram.n
+    big = 2 * n
+    verts = {}
+    for j in range(n):
+        verts[(2 * j, 2 * diagram.pos[j])] = 1
+        verts[(2 * j, 2 * diagram.neg[j])] = -1
+    rect_keys = set()
+    for x, y in verts:
+        for ta in range(big):
+            for fa in range(big):
+                for t1, t2, f1, f2 in ((x, ta, y, fa), (ta, x, y, fa),
+                                       (ta, x, fa, y), (x, ta, fa, y)):
+                    if t1 != t2 and f1 != f2:
+                        rect_keys.add((t1, t2, f1, f2))
+    kinds = (STABILIZATION, EXCHANGE, DESTABILIZATION)
+    out = []
+    seen = set()
+    for t1, t2, f1, f2 in sorted(rect_keys):
+        try:
+            hit = _corner_hits(verts, t1, t2, f1, f2, big)
+        except NotAnElementaryMove:
+            continue
+        kind = kinds[len(hit) - 1]
+        corners = ((t1, f1), (t2, f1), (t2, f2), (t1, f2))
+        sign = verts[corners[hit[0]]] * (1, -1, 1, -1)[hit[0]]
+        new = dict(verts)
+        _add_corner_signs(new, corners, -sign)
+        try:
+            target = _renormalize(new)
+        except DiagramError:
+            continue
+        key = (canonical_form(target), kind)
+        if key not in seen:
+            seen.add(key)
+            rect = Rectangle.of(Fraction(t1, 2), Fraction(t2, 2),
+                                Fraction(f1, 2), Fraction(f2, 2))
+            out.append((ElementaryMove(rect, sign), kind))
+    return out
+
+
+def ref_apply_elementary(diagram: GridDiagram, move: ElementaryMove) -> GridDiagram:
+    """The move applied to the diagram's Fraction-keyed characteristic map."""
+    if move.sign not in (1, -1):
+        raise NotAnElementaryMove(f"sign {move.sign}")
+    return from_characteristic(apply_move_to_map(characteristic(diagram), move))
 
 
 def _is_diagram(sigma, n):

@@ -5,7 +5,12 @@ from random import Random
 
 import pytest
 
-from oracles import brute_transitions, translate
+from oracles import (
+    brute_enumerate_elementary,
+    brute_transitions,
+    ref_apply_elementary,
+    translate,
+)
 from flype.errors import GridSyntaxError, InvalidResult, NotAnElementaryMove
 from flype.invariants import jones
 from flype.moves import (
@@ -27,6 +32,7 @@ from flype.moves import (
     serialize_move,
 )
 from flype.sampling import random_diagram
+from flype.search import all_diagrams
 from flype.torus_core import (
     GridDiagram,
     Rectangle,
@@ -97,6 +103,63 @@ def test_enumeration_matches_brute_force():
             target = apply_elementary(d, move)
             ours.add((canonical_form(target), move_kind_of(d, move)))
         assert ours == brute_transitions(d)
+
+
+_FILTER_KINDS = {
+    "all": {STABILIZATION, EXCHANGE, DESTABILIZATION},
+    "non_increasing": {EXCHANGE, DESTABILIZATION},
+    "destabilizations": {DESTABILIZATION},
+    "exchanges": {EXCHANGE},
+    "stabilizations": {STABILIZATION},
+}
+
+
+def _outcome(fn, d, move):
+    try:
+        return fn(d, move)
+    except (NotAnElementaryMove, InvalidResult) as err:
+        return type(err), str(err)
+
+
+def test_move_layer_matches_full_scan_and_fraction_apply():
+    """Pair candidates equal the scan of every rectangle with a corner on a
+    vertex, filter by filter and in order; the scaled-integer apply equals
+    the apply on the Fraction-keyed map, result or error type and text."""
+    rng = Random(16)
+    cases = [(d, tuple(_FILTER_KINDS)) for n in (2, 3, 4) for d in all_diagrams(n)]
+    cases += [(d, tuple(_FILTER_KINDS)) for d in rng.sample(all_diagrams(5), 6)]
+    cases += [(random_diagram(rng, n), ("non_increasing",))
+              for n in (6, 7, 8, 9) for _ in range(2)]
+    legal = []
+    for d, filters in cases:
+        brute = brute_enumerate_elementary(d)
+        for flt in filters:
+            expected = [m for m, kind in brute if kind in _FILTER_KINDS[flt]]
+            assert enumerate_elementary(d, flt) == expected, (d, flt)
+        legal += [(d, m) for m, _kind in brute[::7]]
+
+    for d, move in legal:
+        for m in (move, move.reversed()):
+            assert _outcome(apply_elementary, d, m) == _outcome(ref_apply_elementary, d, m)
+    seen = set()
+    for i in range(1200):
+        d = random_diagram(rng, rng.randrange(2, 7))
+        den = rng.choice((1, 2, 3, 4, 7))
+        if i % 2:  # anywhere, ends possibly outside [0; n)
+            ends = [F(rng.randrange(-d.n * den, 2 * d.n * den), den) for _ in range(4)]
+        else:  # small, with a corner on a vertex: often a legal stabilization
+            j = rng.randrange(d.n)
+            ends = []
+            for level in (j, rng.choice((d.pos[j], d.neg[j]))):
+                other = level + rng.choice((1, -1)) * F(rng.randrange(1, 2 * den), den)
+                ends += rng.choice(([level, other], [other, level]))
+        if ends[0] == ends[1] or ends[2] == ends[3]:
+            continue
+        move = ElementaryMove(Rectangle.of(*ends), rng.choice((1, -1)))
+        ours = _outcome(apply_elementary, d, move)
+        assert ours == _outcome(ref_apply_elementary, d, move), (d, move)
+        seen.add(ours[0] if isinstance(ours, tuple) else type(ours))
+    assert seen == {GridDiagram, NotAnElementaryMove, InvalidResult}
 
 
 def test_kind_arithmetic():

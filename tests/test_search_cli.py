@@ -98,6 +98,13 @@ def test_census_small():
         unknot_census(6)
 
 
+@pytest.mark.parametrize("n_max", [1, 0])
+def test_census_rejects_n_max_below_two(n_max):
+    # no diagram has grid number below 2, so the report would be vacuous
+    with pytest.raises(ValueError, match="2 <= n_max <= 5"):
+        unknot_census(n_max)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
