@@ -56,6 +56,7 @@ from .torus_core import (
     Point,
     Rectangle,
     SignedPointMap,
+    _common_denominator,
     _min_gap,
     characteristic,
     cyc_dist,
@@ -101,14 +102,7 @@ class MonotoneCurve:
                     f"segment ({x1},{y1})->({x2},{y2}) is not strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "circumference", c)
-        # lcm(d, den) = d * (den / gcd(d, den)), the second factor being the
-        # denominator of d/den in lowest terms: math.lcm would break the
-        # no-float audit, which bans every math import
-        d = c.denominator
-        for x, y in pts:
-            for den in (x.denominator, y.denominator):
-                if d % den:
-                    d *= Fraction(d, den).denominator
+        d = _common_denominator([c, *(v for xy in pts for v in xy)])
         table = [d, c.numerator * (d // c.denominator)]
         for x, y in closed:
             table += (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
@@ -189,17 +183,25 @@ class MonotoneCurve:
 
     def meridian_crossings(self, theta):
         """Reduced heights of the p crossings with the meridian m_theta."""
-        a, b = _num_den(theta)
+        return [Fraction(r, q) for r, q in self._meridian_hits(*_num_den(theta))]
+
+    def _meridian_hits(self, a, b):
+        """meridian_crossings at a/b (any b > 0), each height as the integers
+        (r, q) of r/q in [0, C)."""
         d, cd = self._table[0], self._table[1]
         out = []
         for n in self._lifts(a, b):
             num, den = self._height(n, b)
-            out.append(Fraction(num % (cd * den), den * d))
+            out.append((num % (cd * den), den * d))
         return out
 
     def longitude_crossings(self, phi):
         """Reduced theta of the q crossings with the longitude l_phi."""
-        e, f = _num_den(phi)
+        return [Fraction(r, q) for r, q in self._longitude_hits(*_num_den(phi))]
+
+    def _longitude_hits(self, e, f):
+        """longitude_crossings at e/f (any f > 0), each theta as the integers
+        (r, q) of r/q in [0, C)."""
         t = self._table
         d, step = t[0], t[1] * f
         level = e * d
@@ -210,7 +212,7 @@ class MonotoneCurve:
             y = level - (level - y1 * f) // step * step  # least copy >= y1
             while y < t[i + 3] * f:  # half-open in y: each crossing counted once
                 num = x1 * f * dy + (y - y1 * f) * dx
-                out.append(Fraction(num % (step * dy), f * dy * d))
+                out.append((num % (step * dy), f * dy * d))
                 y += step
         return out
 
@@ -403,21 +405,30 @@ def _expect_hit(annulus: Annulus, x: Point, direction, tag: str) -> Point:
 def rect_rv(annulus: Annulus, v) -> Rectangle:
     """The rectangle r_v: v at its start corner, the forward longitude ray
     ending on b1 and the upward meridian ray ending on b2."""
-    c = annulus.circumference
-    v = Point(Fraction(v[0]), Fraction(v[1])).reduced(c)
+    return _rect_rv(annulus, _interior_point(annulus, v))
+
+
+def co_rect(annulus: Annulus, v) -> Rectangle:
+    """The rectangle r^v = r_u with bar(u) = v, via backward rays."""
+    return _co_rect(annulus, _interior_point(annulus, v))
+
+
+def _interior_point(annulus: Annulus, v) -> Point:
+    v = Point(Fraction(v[0]), Fraction(v[1])).reduced(annulus.circumference)
     if locate(annulus, v) != INTERIOR:
         raise NotInterior(f"{v} is not interior to the annulus")
+    return v
+
+
+def _rect_rv(annulus: Annulus, v: Point) -> Rectangle:
+    """rect_rv of a reduced point already located in the interior."""
     right = _expect_hit(annulus, v, (1, 0), ON_B1)
     top = _expect_hit(annulus, v, (0, 1), ON_B2)
     return Rectangle.of(v.theta, right.theta, v.phi, top.phi)
 
 
-def co_rect(annulus: Annulus, v) -> Rectangle:
-    """The rectangle r^v = r_u with bar(u) = v, via backward rays."""
-    c = annulus.circumference
-    v = Point(Fraction(v[0]), Fraction(v[1])).reduced(c)
-    if locate(annulus, v) != INTERIOR:
-        raise NotInterior(f"{v} is not interior to the annulus")
+def _co_rect(annulus: Annulus, v: Point) -> Rectangle:
+    """co_rect of a reduced point already located in the interior."""
     left = _expect_hit(annulus, v, (-1, 0), ON_B2)
     bottom = _expect_hit(annulus, v, (0, -1), ON_B1)
     return Rectangle.of(left.theta, v.theta, bottom.phi, v.phi)
@@ -456,69 +467,66 @@ def validate_annulus(annulus: Annulus, diagram) -> None:
     Accepts a GridDiagram or a diagram-valued SignedPointMap (the latter is
     what the decomposition recursion works with, where vertex coordinates are
     rational).  Vertices may lie on the boundary; crossings may not.
+
+    Works on scaled integers: the map is scaled by S, the least common
+    multiple of C's denominator and its coordinates', so used levels and
+    vertices are int sets.  Each boundary crossing of a used line is read off
+    the curve's integer table as r/q, and lies on a used level exactly when
+    q divides r*S.  A ``Fraction`` is built only to group crossings by their
+    position along the line and for a point named in an error.
     """
     m = _diagram_map(diagram)
     if m.circumference != annulus.circumference:
         raise AnnulusInvalid("circumference mismatch with the diagram")
     if not m.is_diagram():
         raise AnnulusInvalid("the supplied map is not a diagram characteristic")
-    used_theta = sorted({p.theta for p in m.entries})
-    used_phi = sorted({p.phi for p in m.entries})
-    is_vertex = lambda p: m[p] != 0
+    c = annulus.circumference
+    s = _common_denominator([c, *(v for p in m.entries for v in p)])
+    cs = c.numerator * (s // c.denominator)
+    verts = {(p.theta.numerator * (s // p.theta.denominator) % cs,
+              p.phi.numerator * (s // p.phi.denominator) % cs) for p in m.entries}
+    used_theta = sorted({t for t, _f in verts})
+    used_phi = sorted({f for _t, f in verts})
 
-    # condition 2 plus the meridian half of condition 3
-    on_used_meridians = {}
-    for theta in used_theta:
-        points = []
-        for _tag, curve in annulus.curves():
-            points.extend(Point(reduce_mod(theta, m.circumference), h)
-                          for h in curve.meridian_crossings(theta))
-        for p in points:
-            if p.phi in used_phi and not is_vertex(p):
-                raise BoundaryHitsCrossing(p)
-        at_used = sorted({p for p in points if p.phi in used_phi})
-        if len(at_used) > 2:
-            raise ForbiddenPair(at_used[0], at_used[1], "meridian")
-        if len(at_used) == 2 and not (is_vertex(at_used[0]) and is_vertex(at_used[1])):
-            raise ForbiddenPair(at_used[0], at_used[1], "meridian")
-        on_used_meridians[theta] = points
+    def level(r, q):
+        """S * (r/q) when it is an integer, else -1 (on no used level)."""
+        k, rest = divmod(r * s, q)
+        return -1 if rest else k
 
-    # longitude half of condition 3: group boundary points on used meridians
-    # by their (arbitrary) height; two on one longitude must be a horizontal
-    # edge, which forces both to be vertices.
+    # condition 2 plus the meridian half of condition 3.  A used meridian
+    # carries two vertices, so once no crossing is hit, at most two boundary
+    # points on it lie at used heights and they form its vertical edge.
+    on_phi = set(used_phi)
     by_phi = {}
-    for theta, points in on_used_meridians.items():
-        for p in points:
-            by_phi.setdefault(p.phi, []).append(p)
-    for phi, group in by_phi.items():
-        group = sorted(set(group))
-        if len(group) < 2:
-            continue
-        if len(group) > 2:
-            raise ForbiddenPair(group[0], group[1], "longitude")
-        if not (is_vertex(group[0]) and is_vertex(group[1])):
-            raise ForbiddenPair(group[0], group[1], "longitude")
-
-    # meridian half applied to boundary points on used longitudes
-    by_theta = {}
-    for phi in used_phi:
-        points = []
+    for t in used_theta:
         for _tag, curve in annulus.curves():
-            points.extend(Point(h, reduce_mod(phi, m.circumference))
-                          for h in curve.longitude_crossings(phi))
-        for p in points:
-            if p.theta in used_theta and not is_vertex(p):
-                raise BoundaryHitsCrossing(p)
-        for p in points:
-            by_theta.setdefault(p.theta, []).append(p)
-    for theta, group in by_theta.items():
-        group = sorted(set(group))
-        if len(group) < 2:
-            continue
-        if len(group) > 2:
-            raise ForbiddenPair(group[0], group[1], "meridian")
-        if not (is_vertex(group[0]) and is_vertex(group[1])):
-            raise ForbiddenPair(group[0], group[1], "meridian")
+            for r, q in curve._meridian_hits(t, s):
+                k = level(r, q)
+                if k in on_phi and (t, k) not in verts:
+                    raise BoundaryHitsCrossing(Point(Fraction(t, s), Fraction(r, q)))
+                by_phi.setdefault(Fraction(r, q), (k, []))[1].append(t)
+
+    # longitude half of condition 3: two boundary points on used meridians
+    # at one (arbitrary) height must be a horizontal edge, which forces both
+    # to be vertices.
+    for phi, (k, ts) in by_phi.items():
+        ts = sorted(set(ts))
+        if len(ts) > 2 or len(ts) == 2 and not ((ts[0], k) in verts and (ts[1], k) in verts):
+            raise ForbiddenPair(Point(Fraction(ts[0], s), phi), Point(Fraction(ts[1], s), phi),
+                                "longitude")
+
+    # meridian half applied to boundary points on used longitudes; one that
+    # is also on a used meridian was found above, so it is a vertex
+    by_theta = {}
+    for f in used_phi:
+        for _tag, curve in annulus.curves():
+            for r, q in curve._longitude_hits(f, s):
+                by_theta.setdefault(Fraction(r, q), (level(r, q), []))[1].append(f)
+    for theta, (k, fs) in by_theta.items():
+        fs = sorted(set(fs))
+        if len(fs) > 2 or len(fs) == 2 and not ((k, fs[0]) in verts and (k, fs[1]) in verts):
+            raise ForbiddenPair(Point(theta, Fraction(fs[0], s)), Point(theta, Fraction(fs[1], s)),
+                                "meridian")
 
 
 # ---------------------------------------------------------------------------

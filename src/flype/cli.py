@@ -84,13 +84,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_report(report: dict, out):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
+def _write(text: str, out):
+    """Write to the --out path, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {out}: {err}") from None
+
+
+def _write_report(report: dict, out):
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
 
 
 def _run(args) -> int:
@@ -114,12 +121,7 @@ def _run(args) -> int:
         spec = MultiflypeSpec(parse_annulus(_read(args.annulus)), args.dir)
         for line in replacement_log(diagram, spec):
             print("#", line)
-        text = serialize(apply_multiflype(diagram, spec))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(serialize(apply_multiflype(diagram, spec)), args.out)
         return 0
 
     if args.command == "decompose":

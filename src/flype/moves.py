@@ -33,6 +33,7 @@ from .torus_core import (
     Rectangle,
     SignedPointMap,
     _add_corner_signs,
+    _common_denominator,
     _renormalize,
     canonical_form,
     characteristic,
@@ -155,12 +156,7 @@ def apply_elementary(diagram: GridDiagram, move: ElementaryMove) -> GridDiagram:
         raise NotAnElementaryMove(f"sign {move.sign}")
     r = move.rect
     coords = (r.theta1, r.theta2, r.phi1, r.phi2)
-    scale = 1
-    for q in coords:  # lcm by Euclid: the no-float audit bans every math import
-        a, b = scale, q.denominator
-        while b:
-            a, b = b, a % b
-        scale *= q.denominator // a
+    scale = _common_denominator(coords)
     c = diagram.n * scale
     t1, t2, f1, f2 = (q.numerator * (scale // q.denominator) % c for q in coords)
     verts = {}
@@ -236,6 +232,7 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
     kinds = (STABILIZATION, EXCHANGE, DESTABILIZATION)
     moves = []
     seen = set()
+    forms = {}  # many rectangles renormalize to one target
     for t1, t2, f1, f2 in sorted(rect_keys):
         try:
             hit = _corner_hits(verts, t1, t2, f1, f2, big)
@@ -253,7 +250,10 @@ def enumerate_elementary(diagram: GridDiagram, move_filter: str = "all"):
             target = _renormalize(new)
         except DiagramError:
             continue
-        key = (canonical_form(target), kind)
+        form = forms.get(target)
+        if form is None:
+            form = forms[target] = canonical_form(target)
+        key = (form, kind)
         if key in seen:
             continue
         seen.add(key)

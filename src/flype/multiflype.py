@@ -17,6 +17,17 @@ Direction semantics, with the annulus always stored with positive slope:
 
 With these conventions the inverse of a spec is literally the same annulus
 with the direction swapped NE<->SW, NW<->SE.
+
+Two routes compute a flype.  ``apply_multiflype_map``, ``flype_sum_map`` and
+the decomposition sum rectangles on ``Fraction``-keyed maps.
+``apply_multiflype`` on a GridDiagram validates the annulus once in the
+forward frame; when that passes it sums the rectangles on the integer
+lattice scaled by the lcm L of their denominators and renormalizes there
+(``_flype_grid``), building no map.  When validation fails it falls back to
+the map route, whose relaxed acceptance of the inverse of a strictly valid
+flype needs the rational image.  Each vertex is located once per (annulus,
+map) pair (``_vertex_sides``), and the search reuses those sides for both
+of its directions.
 """
 
 from __future__ import annotations
@@ -31,19 +42,22 @@ from .annulus import (
     ON_B1,
     ON_B2,
     OUTSIDE,
-    co_rect,
+    _co_rect,
+    _rect_rv,
     locate,
-    rect_rv,
     validate_annulus,
 )
-from .errors import AnnulusInvalid, CurveError, InternalInvariantBroken
+from .errors import AnnulusInvalid, CurveError, DiagramError, InternalInvariantBroken
 from .moves import ElementaryMove, apply_elementary, conjugate_move, corner_pattern
 from .torus_core import (
     GridDiagram,
     Point,
     Rectangle,
     SignedPointMap,
+    _add_corner_signs,
+    _common_denominator,
     _min_gap,
+    _renormalize,
     characteristic,
     cyc_dist,
     from_characteristic,
@@ -85,14 +99,19 @@ def _forward_frame(m: SignedPointMap, spec: MultiflypeSpec):
     return work, frame, spec.direction in (SW, SE)
 
 
-def _flyped_vertices(m: SignedPointMap, annulus: Annulus, backward: bool):
-    """(vertex, sign, side, rectangle) for every vertex not outside the
-    annulus; the rectangle is r_v (r^v when backward) inside, None on the
-    boundary."""
-    for p, s in sorted(m.entries.items()):
-        side = locate(annulus, p)
+def _vertex_sides(m: SignedPointMap, annulus: Annulus):
+    """(vertex, sign, side) for every vertex of m in sorted order, each
+    located once."""
+    return [(p, s, locate(annulus, p)) for p, s in sorted(m.entries.items())]
+
+
+def _flyped_vertices(sides, annulus: Annulus, backward: bool):
+    """(vertex, sign, side, rectangle) for every vertex of ``_vertex_sides``
+    not outside the annulus; the rectangle is r_v (r^v when backward) inside,
+    None on the boundary."""
+    for p, s, side in sides:
         if side == INTERIOR:
-            yield p, s, side, co_rect(annulus, p) if backward else rect_rv(annulus, p)
+            yield p, s, side, _co_rect(annulus, p) if backward else _rect_rv(annulus, p)
         elif side != OUTSIDE:
             yield p, s, side, None
 
@@ -100,10 +119,49 @@ def _flyped_vertices(m: SignedPointMap, annulus: Annulus, backward: bool):
 def flype_sum_map(m: SignedPointMap, annulus: Annulus, backward=False) -> SignedPointMap:
     """sigma_R minus the literal sum over all vertices inside the annulus."""
     out = m.copy()
-    for _p, s, _side, rect in _flyped_vertices(m, annulus, backward):
+    for _p, s, _side, rect in _flyped_vertices(_vertex_sides(m, annulus), annulus, backward):
         if rect is not None:
             out.add_rectangle(rect, -s)
     return out
+
+
+def _flype_grid(diagram: GridDiagram, sides, annulus: Annulus, frame: str,
+                backward: bool) -> GridDiagram:
+    """The flype of a diagram whose forward-frame map passed validation
+    against the annulus, given that map's ``_vertex_sides``.
+
+    Works on the lattice scaled by L, the least common multiple of the
+    denominators of the flyped rectangles: vertex (j, row) becomes
+    (j*L, row*L) in the forward frame and the circumference n*L, so the sum
+    and the renormalization run on integers.
+    """
+    rects = [(s, (r.theta1, r.theta2, r.phi1, r.phi2))
+             for _p, s, _side, r in _flyped_vertices(sides, annulus, backward)
+             if r is not None]
+    scale = _common_denominator(q for _s, qs in rects for q in qs)
+    n = diagram.n
+    c = n * scale
+    flip = frame != "none"
+    verts = {}
+    for j in range(n):
+        t = -j * scale % c if flip else j * scale
+        verts[(t, diagram.pos[j] * scale)] = 1
+        verts[(t, diagram.neg[j] * scale)] = -1
+    for s, qs in rects:
+        t1, t2, f1, f2 = (q.numerator * (scale // q.denominator) % c for q in qs)
+        _add_corner_signs(verts, ((t1, f1), (t2, f1), (t2, f2), (t1, f2)), -s)
+    if flip:
+        verts = {(-t % c, f): v for (t, f), v in verts.items()}
+    try:
+        return _renormalize(verts)
+    except DiagramError:
+        raise _non_diagram() from None
+
+
+def _non_diagram() -> InternalInvariantBroken:
+    return InternalInvariantBroken(
+        "multiflype produced a non-diagram map; this contradicts the "
+        "well-definedness proposition")
 
 
 def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
@@ -130,9 +188,7 @@ def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
     if not result.is_diagram():
         if relaxed:
             validate_annulus(spec.annulus, work)  # re-raise the original error
-        raise InternalInvariantBroken(
-            "multiflype produced a non-diagram map; this contradicts the "
-            "well-definedness proposition")
+        raise _non_diagram()
     if relaxed:
         try:
             validate_annulus(spec.annulus, result)
@@ -147,10 +203,22 @@ def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
 def apply_multiflype(diagram: GridDiagram, spec: MultiflypeSpec) -> GridDiagram:
     """Apply the multiflype and renormalize.
 
-    Raises AnnulusInvalid when the annulus fails conditions 1-3 against the
-    (conjugated) diagram; a non-diagram result is an internal error.
+    The annulus is validated once against the diagram in the spec's forward
+    frame.  When it passes, the flype is summed on the integer lattice of
+    ``_flype_grid``.  When it fails, the map route of
+    ``apply_multiflype_map`` decides: it accepts the input only as the image
+    of a strictly valid flype that this spec reverses, and otherwise raises
+    the AnnulusInvalid of the validation.  A non-diagram result is an
+    internal error.
     """
-    return from_characteristic(apply_multiflype_map(characteristic(diagram), spec))
+    m = characteristic(diagram)
+    work, frame, backward = _forward_frame(m, spec)
+    try:
+        validate_annulus(spec.annulus, work)
+    except AnnulusInvalid:
+        return from_characteristic(apply_multiflype_map(m, spec))
+    return _flype_grid(diagram, _vertex_sides(work, spec.annulus), spec.annulus,
+                       frame, backward)
 
 
 def replacement_log(diagram: GridDiagram, spec: MultiflypeSpec):
@@ -158,7 +226,8 @@ def replacement_log(diagram: GridDiagram, spec: MultiflypeSpec):
     work, _frame, backward = _forward_frame(characteristic(diagram), spec)
     validate_annulus(spec.annulus, work)
     lines = []
-    for p, s, side, rect in _flyped_vertices(work, spec.annulus, backward):
+    for p, s, side, rect in _flyped_vertices(_vertex_sides(work, spec.annulus),
+                                             spec.annulus, backward):
         if rect is None:
             lines.append(f"boundary {_fmt(p)} sign {s:+d} on {side} (kept by the sum)")
         else:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .annulus import Annulus, MonotoneCurve, validate_annulus
 from .errors import AnnulusInvalid, CurveError, FlypeError, OutOfRangeValue, SlopeViolation
 from .moves import apply_elementary, enumerate_elementary
-from .multiflype import MultiflypeSpec, apply_multiflype
+from .multiflype import _flype_grid, _vertex_sides
 from .torus_core import GridDiagram, canonical_form, characteristic
 
 MOVESET_ELEMENTARY = "elem"
@@ -93,11 +93,12 @@ def _flype_neighbors(diagram: GridDiagram):
     for ann in _staircase_family(diagram.n):
         try:
             validate_annulus(ann, m)
+            sides = _vertex_sides(m, ann)
         except FlypeError:
             continue
-        for direction in ("NE", "SW"):
+        for backward in (False, True):  # NE, then SW
             try:
-                out = apply_multiflype(diagram, MultiflypeSpec(ann, direction))
+                out = _flype_grid(diagram, sides, ann, "none", backward)
             except FlypeError:
                 continue
             if out.n == diagram.n:

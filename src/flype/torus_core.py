@@ -56,6 +56,23 @@ def _min_gap(values, circumference) -> Fraction:
     return min(gaps)
 
 
+def _common_denominator(values) -> int:
+    """Least common multiple of the denominators of exact rationals (ints
+    count as denominator 1), the scale that puts them all on integers."""
+    d = 1
+    for v in values:
+        den = v.denominator
+        if d % den:
+            # lcm(d, den) = d * den / gcd(d, den), the gcd by Euclid:
+            # math.lcm would break the no-float audit, which bans every math
+            # import
+            a, b = d, den
+            while b:
+                a, b = b, a % b
+            d *= den // a
+    return d
+
+
 def in_cyclic(start, end, x, circumference, closed=True) -> bool:
     """Membership of x in the interval traversed forward from start to end."""
     d_end = cyc_dist(start, end, circumference)

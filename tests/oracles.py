@@ -9,12 +9,22 @@ canonical form by trying all n^2 torus translations, and the boundary-curve
 queries and ray cast by ``Fraction`` arithmetic over each segment.  The
 library's move layer is also checked against its previous forms: the scan of
 every rectangle with a corner on a vertex, and the move applied to the
-``Fraction``-keyed characteristic map.
+``Fraction``-keyed characteristic map.  So is the multiflype layer: annulus
+validation over ``Fraction`` points, and the flype summed on the
+``Fraction``-keyed map.
 """
 
 from fractions import Fraction
 
-from flype.errors import DiagramError, NotAnElementaryMove
+from flype.annulus import _diagram_map
+from flype.errors import (
+    AnnulusInvalid,
+    BoundaryHitsCrossing,
+    DiagramError,
+    FlypeError,
+    ForbiddenPair,
+    NotAnElementaryMove,
+)
 from flype.invariants import LaurentPolynomial
 from flype.moves import (
     DESTABILIZATION,
@@ -24,6 +34,8 @@ from flype.moves import (
     _corner_hits,
     apply_move_to_map,
 )
+from flype.multiflype import MultiflypeSpec, apply_multiflype_map
+from flype.search import _staircase_family
 from flype.torus_core import (
     GridDiagram,
     Point,
@@ -483,3 +495,97 @@ def ref_first_hit(annulus, x, direction):
         raise AssertionError(f"the {direction} ray missed the boundary")
     t, tag, (x1, y1), (x2, y2), s = best
     return tag, Point(reduce_mod(x1 + s * (x2 - x1), c), reduce_mod(y1 + s * (y2 - y1), c)), t
+
+
+# ---------------------------------------------------------------------------
+# Annulus validation over Fraction points, and the flype on the Fraction map
+# ---------------------------------------------------------------------------
+
+def ref_validate_annulus(annulus, diagram) -> None:
+    """Conditions 1-3 checked point by point in ``Fraction`` arithmetic; the
+    same checks, in the same order, as ``validate_annulus``."""
+    m = _diagram_map(diagram)
+    if m.circumference != annulus.circumference:
+        raise AnnulusInvalid("circumference mismatch with the diagram")
+    if not m.is_diagram():
+        raise AnnulusInvalid("the supplied map is not a diagram characteristic")
+    used_theta = sorted({p.theta for p in m.entries})
+    used_phi = sorted({p.phi for p in m.entries})
+    is_vertex = lambda p: m[p] != 0
+
+    # condition 2 plus the meridian half of condition 3
+    on_used_meridians = {}
+    for theta in used_theta:
+        points = []
+        for _tag, curve in annulus.curves():
+            points.extend(Point(reduce_mod(theta, m.circumference), h)
+                          for h in ref_meridian_crossings(curve, theta))
+        for p in points:
+            if p.phi in used_phi and not is_vertex(p):
+                raise BoundaryHitsCrossing(p)
+        at_used = sorted({p for p in points if p.phi in used_phi})
+        if len(at_used) > 2:
+            raise ForbiddenPair(at_used[0], at_used[1], "meridian")
+        if len(at_used) == 2 and not (is_vertex(at_used[0]) and is_vertex(at_used[1])):
+            raise ForbiddenPair(at_used[0], at_used[1], "meridian")
+        on_used_meridians[theta] = points
+
+    # longitude half of condition 3
+    by_phi = {}
+    for theta, points in on_used_meridians.items():
+        for p in points:
+            by_phi.setdefault(p.phi, []).append(p)
+    for phi, group in by_phi.items():
+        group = sorted(set(group))
+        if len(group) < 2:
+            continue
+        if len(group) > 2:
+            raise ForbiddenPair(group[0], group[1], "longitude")
+        if not (is_vertex(group[0]) and is_vertex(group[1])):
+            raise ForbiddenPair(group[0], group[1], "longitude")
+
+    # meridian half applied to boundary points on used longitudes
+    by_theta = {}
+    for phi in used_phi:
+        points = []
+        for _tag, curve in annulus.curves():
+            points.extend(Point(h, reduce_mod(phi, m.circumference))
+                          for h in ref_longitude_crossings(curve, phi))
+        for p in points:
+            if p.theta in used_theta and not is_vertex(p):
+                raise BoundaryHitsCrossing(p)
+        for p in points:
+            by_theta.setdefault(p.theta, []).append(p)
+    for theta, group in by_theta.items():
+        group = sorted(set(group))
+        if len(group) < 2:
+            continue
+        if len(group) > 2:
+            raise ForbiddenPair(group[0], group[1], "meridian")
+        if not (is_vertex(group[0]) and is_vertex(group[1])):
+            raise ForbiddenPair(group[0], group[1], "meridian")
+
+
+def ref_apply_multiflype(diagram: GridDiagram, spec) -> GridDiagram:
+    """The flype summed on the diagram's Fraction-keyed characteristic map."""
+    return from_characteristic(apply_multiflype_map(characteristic(diagram), spec))
+
+
+def ref_flype_neighbors(diagram: GridDiagram):
+    """The search's flype neighbours, each direction through the reference
+    flype, which validates the pair again."""
+    out = []
+    m = characteristic(diagram)
+    for ann in _staircase_family(diagram.n):
+        try:
+            ref_validate_annulus(ann, m)
+        except FlypeError:
+            continue
+        for direction in ("NE", "SW"):
+            try:
+                got = ref_apply_multiflype(diagram, MultiflypeSpec(ann, direction))
+            except FlypeError:
+                continue
+            if got.n == diagram.n:
+                out.append(got)
+    return out

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import oracles
 from flype.annulus import (
     Annulus,
     INTERIOR,
@@ -13,10 +14,18 @@ from flype.annulus import (
     locate,
     negate_annulus,
     parse_annulus,
+    perturb_boundary,
     rect_rv,
     validate_annulus,
 )
-from flype.errors import SlopeViolation
+from flype.decompose import decompose_with_trace
+from flype.errors import (
+    AnnulusInvalid,
+    BoundaryHitsCrossing,
+    FlypeError,
+    ForbiddenPair,
+    SlopeViolation,
+)
 from flype.invariants import jones
 from flype.moves import ElementaryMove, apply_elementary, classify, enumerate_elementary
 from flype.multiflype import (
@@ -30,10 +39,12 @@ from flype.multiflype import (
     thin_move_annulus,
 )
 from flype.sampling import random_diagram, random_flype_case
+from flype.search import _flype_neighbors, _staircase_family
 from flype.torus_core import (
     GridDiagram,
     Point,
     Rectangle,
+    SignedPointMap,
     TREFOIL5,
     UNKNOT2,
     apply_symmetry,
@@ -273,3 +284,69 @@ def test_thin_band_retries_only_geometric_failures(monkeypatch):
 def test_direction_validation():
     with pytest.raises(ValueError):
         MultiflypeSpec(DIAG, "UP")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except FlypeError as err:
+        return type(err), str(err)
+
+
+def test_integer_flype_and_validation_match_fraction_references():
+    """validate_annulus, apply_multiflype and the search's flype neighbours
+    agree with their Fraction references: equal results, or the same error
+    type and message."""
+    outcomes = set()
+
+    def same_validation(ann, m):
+        got = _outcome(validate_annulus, ann, m)
+        assert got == _outcome(oracles.ref_validate_annulus, ann, m)
+        outcomes.add(got[0])
+
+    def same_flypes(d, ann):
+        for direction in ("NE", "NW", "SW", "SE"):
+            spec = MultiflypeSpec(ann, direction)
+            assert (_outcome(apply_multiflype, d, spec)
+                    == _outcome(oracles.ref_apply_multiflype, d, spec))
+        same_validation(ann, characteristic(d))
+        same_validation(ann, map_symmetry(characteristic(d), "flip_theta"))
+
+    rng = Random(211)
+    for _ in range(20):
+        d, spec = random_flype_case(rng, n_max=6)
+        same_flypes(d, spec.annulus)
+        theta = F(rng.randrange(0, 4 * d.n), 4) + F(1, 16)
+        same_flypes(d, perturb_boundary(spec.annulus, theta, set(), d))
+    for d in (UNKNOT2, TREFOIL5, random_diagram(rng, 4)):
+        for move in enumerate_elementary(d, "all")[::7]:
+            same_flypes(d, thin_move_annulus(d, move.rect))
+
+    # every staircase annulus of the search, which reaches the crossing check
+    # and both forbidden-pair checks
+    for n in range(3, 7):
+        for _ in range(3):
+            d = random_diagram(rng, n)
+            for ann in _staircase_family(n):
+                same_validation(ann, characteristic(d))
+            assert _flype_neighbors(d) == oracles.ref_flype_neighbors(d)
+
+    # the rational maps of the decomposition, against every annulus it used
+    for _ in range(4):
+        d, spec = random_flype_case(rng, n_max=5, require_interior=True)
+        _cert, trace = decompose_with_trace(d, spec)
+        for m in trace.maps:
+            for ann in set(trace.annuli):
+                same_validation(ann, m)
+    same_validation(DIAG, characteristic(TREFOIL5))  # circumference mismatch
+    same_validation(DIAG, SignedPointMap(2, {Point(F(0), F(0)): 1}))  # not a diagram
+
+    # d is the NE image of a map on which this annulus is strictly valid; the
+    # SW flype of d fails validation and is accepted by the relaxed route
+    d = GridDiagram.make((0, 1, 3, 2), (1, 2, 0, 3))
+    ann = parse_annulus("annulus 4 winding 1 1\nB1: (2,3/2) (3,2) (4,4)\n"
+                        "B2: (0,3/2) (2,3)\n")
+    same_flypes(d, ann)
+    assert apply_multiflype(d, MultiflypeSpec(ann, "SW")) == GridDiagram.make(
+        (1, 2, 0), (2, 0, 1))
+    assert {"ok", BoundaryHitsCrossing, ForbiddenPair, AnnulusInvalid} <= outcomes

@@ -212,3 +212,22 @@ def test_cli_invalid_annulus(tmp_path, capsys):
 def test_cli_usage_error(capsys):
     assert cli(["frobnicate"]) == 1
     assert capsys.readouterr().err.startswith("E:Usage:")
+
+
+@pytest.mark.parametrize("command", ["census", "simplify", "apply"])
+def test_cli_out_to_unwritable_path(tmp_path, capsys, command):
+    grid = tmp_path / "u2.grid"
+    grid.write_text(serialize(UNKNOT2), encoding="utf-8")
+    annulus = tmp_path / "band.annulus"
+    annulus.write_text(
+        "annulus 2 winding 1 1\nB1: (1/4,0)\nB2: (-1/4,0)\n", encoding="utf-8")
+    out = tmp_path / "missing_dir" / "out.txt"
+    argv = {
+        "census": ["census", "--n-max", "2"],
+        "simplify": ["simplify", "--grid", str(grid)],
+        "apply": ["apply", "--grid", str(grid), "--annulus", str(annulus), "--dir", "NE"],
+    }[command]
+    assert cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"E:Usage: cannot write {out}:")
+    assert "Traceback" not in err

@@ -3,9 +3,16 @@
 import ast
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import flype
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_no_unused_imports():
@@ -34,7 +41,7 @@ def test_no_unused_imports():
 def test_benchmark_trace_hooks_resolve():
     """Every ``module.fn`` and ``module.Class.method`` that the benchmark's
     tracer wraps is still a function of that name in ``flype``."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -50,3 +57,15 @@ def test_benchmark_trace_hooks_resolve():
             if not inspect.isfunction(fn):
                 missing.append(f"{layer}.{name}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    """Each demo script runs to completion against the source tree."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
