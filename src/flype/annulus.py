@@ -20,10 +20,14 @@ periodic PL function avoids all multiples of C.
 
 Each curve is compiled once, when it is built, into a table of integers:
 its breakpoints, the closing point included, and C, all scaled by D, the
-least common multiple of their denominators.  The graph, meridian,
-longitude and ray queries take a query coordinate a/b as the integers a and
-b, and compare and floor-divide by integer cross-multiplication; a
-``Fraction`` is built only for a value returned to the caller.
+least common multiple of their denominators.  Every boundary-curve query
+reads it, taking a coordinate a/b as the integers a and b and comparing by
+cross-multiplication; a ``Fraction`` is built only for a returned value.
+``MonotoneCurve.lift_of`` finds the lift through a point.  Over each lift x
+of t1 a boundary is an increasing branch, so it meets the open box
+(t1, t1+w) x (f1, f1+h) iff y(x) + kC < f1 + h and y(x+w) + kC > f1 for
+some k (``rect_in_annulus``).  Omega_v keeps its two boundary pieces as
+lifted x-spans and evaluates the curve's own ``y_at`` on them.
 
 Every construction is read off one ray cast, ``_first_hit``: the first
 boundary point on a ray from x in one of six directions, each transverse to
@@ -78,9 +82,9 @@ class MonotoneCurve:
     ints ``(D, C*D, X0, Y0, X1, Y1, ..., Xk, Yk)``: D is the least common
     multiple of the denominators of C and of every breakpoint coordinate,
     and (Xi, Yi) = D * (xi, yi), the closing point (x0 + pC, y0 + qC) last.
-    ``y_at``, ``x_lifts_of``, ``contains_point`` and the crossing queries
-    take a query value a/b as the integers a and b and cross-multiply;
-    a ``Fraction`` is built only for a value they return.
+    ``y_at``, ``x_lifts_of``, ``lift_of`` and the crossing queries take a
+    query value a/b as the integers a and b and cross-multiply; a
+    ``Fraction`` is built only for a value they return.
     """
 
     breakpoints: tuple
@@ -171,15 +175,20 @@ class MonotoneCurve:
 
     # -- torus-level queries ----------------------------------------------
 
-    def contains_point(self, point) -> bool:
+    def lift_of(self, point):
+        """The first of ``x_lifts_of(point[0])`` at which the lifted curve
+        passes through the point mod C, or None; a miss builds no Fraction."""
         a, b = _num_den(point[0])
         e, f = _num_den(point[1])
         d, cd = self._table[0], self._table[1]
         for n in self._lifts(a, b):
             num, den = self._height(n, b)
             if (num * f - e * d * den) % (cd * den * f) == 0:
-                return True
-        return False
+                return Fraction(n, b * d)
+        return None
+
+    def contains_point(self, point) -> bool:
+        return self.lift_of(point) is not None
 
     def meridian_crossings(self, theta):
         """Reduced heights of the p crossings with the meridian m_theta."""
@@ -215,21 +224,6 @@ class MonotoneCurve:
                 out.append((num % (step * dy), f * dy * d))
                 y += step
         return out
-
-    def normalized(self) -> "MonotoneCurve":
-        c = self.circumference
-        px, py = self.period()
-        best = None
-        k = len(self.breakpoints)
-        for i in range(k):
-            run = list(self.breakpoints[i:]) + [(x + px, y + py)
-                                                for x, y in self.breakpoints[:i]]
-            x0, y0 = run[0]
-            dx, dy = (x0 // c) * c, (y0 // c) * c
-            cand = tuple((x - dx, y - dy) for x, y in run)
-            if best is None or cand < best:
-                best = cand
-        return MonotoneCurve(best, self.winding, c)
 
 
 def transpose_curve(curve: MonotoneCurve) -> MonotoneCurve:
@@ -535,79 +529,43 @@ def validate_annulus(annulus: Annulus, diagram) -> None:
 
 def rect_in_annulus(annulus: Annulus, rect: Rectangle) -> bool:
     """Closed containment r <= A: the open rectangle meets no boundary and
-    the center is interior."""
+    the center is interior.  The branch test of the module docstring runs on
+    the box scaled by the lcm s of its denominators, with the least k of its
+    second inequality; the open box is empty when w or h is 0."""
     c = annulus.circumference
     t1 = reduce_mod(rect.theta1, c)
     w = cyc_dist(rect.theta1, rect.theta2, c)
     f1 = reduce_mod(rect.phi1, c)
     h = cyc_dist(rect.phi1, rect.phi2, c)
-    for _tag, curve in annulus.curves():
-        if _segment_family_meets_open_box(curve, t1, t1 + w, f1, f1 + h, c):
-            return False
+    if w and h:
+        s = _common_denominator((t1, w, f1, h))
+        left, width, bottom, top = (v.numerator * (s // v.denominator)
+                                    for v in (t1, w, f1, f1 + h))
+        for _tag, curve in annulus.curves():
+            d, cd = curve._table[0], curve._table[1]
+            for n in curve._lifts(left, s):
+                lo, lo_den = curve._height(n, s)
+                hi, hi_den = curve._height(n + width * d, s)
+                k = (bottom * hi_den * d - hi * s) // (s * hi_den * cd) + 1
+                if (lo + k * cd * lo_den) * s < top * lo_den * d:
+                    return False
     center = Point(reduce_mod(t1 + w / 2, c), reduce_mod(f1 + h / 2, c))
     return locate(annulus, center) == INTERIOR
-
-
-def _segment_family_meets_open_box(curve, bx1, bx2, by1, by2, c):
-    for (x1, y1), (x2, y2) in curve.segments():
-        for a in range(((bx1 - x2) / c).__ceil__(), ((bx2 - x1) / c).__floor__() + 1):
-            for b in range(((by1 - y2) / c).__ceil__(), ((by2 - y1) / c).__floor__() + 1):
-                sx1, sy1 = x1 + a * c, y1 + b * c
-                sx2, sy2 = x2 + a * c, y2 + b * c
-                # s-interval with x strictly inside the box
-                if sx2 <= bx1 or sx1 >= bx2 or sy2 <= by1 or sy1 >= by2:
-                    continue
-                dx, dy = sx2 - sx1, sy2 - sy1
-                s_lo = max((bx1 - sx1) / dx, (by1 - sy1) / dy, Fraction(0))
-                s_hi = min((bx2 - sx1) / dx, (by2 - sy1) / dy, Fraction(1))
-                if s_lo < s_hi:
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------
 # The swept region Omega_v and its active boundary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubPolyline:
-    """A forward piece of a boundary curve, as lifted points, with evaluation."""
-
-    points: tuple  # lifted, strictly increasing
-
-    def y_at(self, x) -> Fraction:
-        for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
-            if x1 <= x <= x2:
-                return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
-        raise InternalInvariantBroken("evaluation outside the sub-polyline")
-
-
-def sub_polyline(curve: MonotoneCurve, start, end) -> SubPolyline:
-    """The forward piece of the curve from start to end (both on the curve)."""
-    c = curve.circumference
-    start = Point(Fraction(start[0]), Fraction(start[1])).reduced(c)
-    end = Point(Fraction(end[0]), Fraction(end[1])).reduced(c)
-    xs = [x for x in curve.x_lifts_of(start.theta)
-          if reduce_mod(curve.y_at(x) - start.phi, c) == 0]
-    if not xs:
-        raise InternalInvariantBroken(f"{start} is not on the curve")
-    x_s = xs[0]
+def _span(curve: MonotoneCurve, start, end):
+    """Lifted x-span (x_start, x_end) of the forward piece of the curve from
+    start to end, both on the curve; a full period when they coincide."""
+    x_s, x_e = curve.lift_of(start), curve.lift_of(end)
+    if x_s is None or x_e is None:
+        raise InternalInvariantBroken(f"{start} or {end} is not on the curve")
     px, _ = curve.period()
-    xe = [x for x in curve.x_lifts_of(end.theta)
-          if reduce_mod(curve.y_at(x) - end.phi, c) == 0]
-    if not xe:
-        raise InternalInvariantBroken(f"{end} is not on the curve")
-    x_e = xe[0]
-    k = ((x_s - x_e) / px).__ceil__()
-    x_e = x_e + k * px
-    if x_e == x_s:
-        x_e += px
-    pts = [(x_s, curve.y_at(x_s))]
-    for x in curve.kinks_between(x_s, x_e):
-        if x_s < x < x_e:
-            pts.append((x, curve.y_at(x)))
-    pts.append((x_e, curve.y_at(x_e)))
-    return SubPolyline(tuple(pts))
+    x_e += ((x_s - x_e) / px).__ceil__() * px
+    return (x_s, x_e + px if x_e == x_s else x_e)
 
 
 @dataclass(frozen=True)
@@ -620,8 +578,8 @@ class OmegaRegions:
     v_bar: Point
     rv: Rectangle        # r_v, from v forward
     co: Rectangle        # r^v, ending at v
-    roof: SubPolyline    # b2 between (theta_x, phi0) and (theta0, phi1)
-    floor: SubPolyline   # b1 between (theta0, phi_y) and (theta1, phi0)
+    roof: tuple          # lifted x-span of b2 from (theta_x, phi0) to (theta0, phi1)
+    floor: tuple         # lifted x-span of b1 from (theta0, phi_y) to (theta1, phi0)
 
     @property
     def circumference(self):
@@ -636,11 +594,10 @@ class OmegaRegions:
         tx, t0 = self.co.theta1, self.co.theta2
         if not in_cyclic(tx, t0, x.theta, c):
             return False
-        x_lift = self.roof.points[0][0] + cyc_dist(tx, x.theta, c)
-        if not (self.roof.points[0][0] <= x_lift <= self.roof.points[-1][0]):
-            return False
-        base = self.roof.points[0][1]  # lifted height of phi0 at the left pinch
-        return cyc_dist(self.v.phi, x.phi, c) <= self.roof.y_at(x_lift) - base
+        x_s, x_e = self.roof
+        x_lift = x_s + cyc_dist(tx, x.theta, c)
+        y = self.annulus.b2.y_at  # y(x_s): the lifted height of phi0 at the left pinch
+        return x_lift <= x_e and cyc_dist(self.v.phi, x.phi, c) <= y(x_lift) - y(x_s)
 
     def in_delta_minus(self, x) -> bool:
         c = self.circumference
@@ -648,11 +605,10 @@ class OmegaRegions:
         t0, t1 = self.rv.theta1, self.rv.theta2
         if not in_cyclic(t0, t1, x.theta, c):
             return False
-        x_lift = self.floor.points[0][0] + cyc_dist(t0, x.theta, c)
-        if not (self.floor.points[0][0] <= x_lift <= self.floor.points[-1][0]):
-            return False
-        top = self.floor.points[-1][1]  # lifted height of phi0 at the right pinch
-        return cyc_dist(x.phi, self.v.phi, c) <= top - self.floor.y_at(x_lift)
+        x_s, x_e = self.floor
+        x_lift = x_s + cyc_dist(t0, x.theta, c)
+        y = self.annulus.b1.y_at  # y(x_e): the lifted height of phi0 at the right pinch
+        return x_lift <= x_e and cyc_dist(x.phi, self.v.phi, c) <= y(x_e) - y(x_lift)
 
     def in_omega(self, x) -> bool:
         return self.in_rv(x) or self.in_delta_plus(x) or self.in_delta_minus(x)
@@ -677,8 +633,8 @@ def omega_regions(annulus: Annulus, v) -> OmegaRegions:
     v = Point(Fraction(v[0]), Fraction(v[1])).reduced(c)
     rv = rect_rv(annulus, v)
     co = co_rect(annulus, v)
-    roof = sub_polyline(annulus.b2, Point(co.theta1, co.phi2), Point(rv.theta1, rv.phi2))
-    floor = sub_polyline(annulus.b1, Point(co.theta2, co.phi1), Point(rv.theta2, rv.phi1))
+    roof = _span(annulus.b2, Point(co.theta1, co.phi2), Point(rv.theta1, rv.phi2))
+    floor = _span(annulus.b1, Point(co.theta2, co.phi1), Point(rv.theta2, rv.phi1))
     return OmegaRegions(annulus, v, Point(rv.theta2, rv.phi2), rv, co, roof, floor)
 
 
@@ -748,9 +704,7 @@ def perturb_boundary(annulus: Annulus, meridian_level, keep, diagram=None,
                 for h in sorted(curve.meridian_crossings(theta)):
                     if Point(theta, h) in keep:
                         continue
-                    xs = [x for x in curve.x_lifts_of(theta)
-                          if reduce_mod(curve.y_at(x) - h, c) == 0]
-                    x = xs[0]
+                    x = curve.lift_of((theta, h))
                     y = curve.y_at(x)
                     rise = min(y - curve.y_at(x - eps), curve.y_at(x + eps) - y)
                     dy = -rise / 2 if tag == ON_B1 else rise / 2

@@ -17,7 +17,7 @@ from .decompose import decompose, validate_certificate
 from .errors import FlypeError, InternalInvariantBroken
 from .invariants import jones, legendrian, writhe
 from .moves import enumerate_elementary, move_kind_of, serialize_move
-from .multiflype import MultiflypeSpec, apply_multiflype, replacement_log
+from .multiflype import MultiflypeSpec, replacement_log
 from .search import simplify, unknot_census
 from .torus_core import parse, render_ascii, serialize
 
@@ -119,9 +119,10 @@ def _run(args) -> int:
     if args.command == "apply":
         diagram = _load_grid(args.grid)
         spec = MultiflypeSpec(parse_annulus(_read(args.annulus)), args.dir)
-        for line in replacement_log(diagram, spec):
+        result, log = replacement_log(diagram, spec)
+        for line in log:
             print("#", line)
-        _write(serialize(apply_multiflype(diagram, spec)), args.out)
+        _write(serialize(result), args.out)
         return 0
 
     if args.command == "decompose":

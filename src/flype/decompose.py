@@ -30,6 +30,7 @@ InternalInvariantBroken, never a wrong certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ def _event_parameter(path: SweepPath, annulus: Annulus, w: Point):
 
 
 def _sweep_moves(m: SignedPointMap, annulus: Annulus, u0: Point,
-                 om: OmegaRegions):
+                 om: OmegaRegions, tally: Counter):
     """Ordered elementary moves realizing the base case."""
     c = annulus.circumference
     path = build_sweep_path(m, annulus, u0, om)
@@ -328,7 +329,7 @@ def _sweep_moves(m: SignedPointMap, annulus: Annulus, u0: Point,
     for t in sorted(events):
         group = events[t]
         if len(group) == 2:
-            counters["pair_event"] += 1
+            tally["pair_event"] += 1
             w1, w2 = group
             x = path.x_range()[1] - t
             u = Point(reduce_mod(x, c), reduce_mod(path.at_x(x), c))
@@ -387,29 +388,20 @@ def _strictly_inside_rv(om: OmegaRegions, p: Point, c) -> bool:
             and in_cyclic(r.phi1, r.phi2, p.phi, c, closed=False))
 
 
-#: diagnostic tallies of which proof branches ran (tests assert coverage)
-counters = {"case1": 0, "case2": 0, "case3": 0, "sweep": 0, "single": 0,
-            "perturbed": 0, "pair_event": 0}
-
-
-def reset_counters():
-    for k in counters:
-        counters[k] = 0
-
-
 def _induction_move(m: SignedPointMap, annulus: Annulus, u0: Point,
-                    om: OmegaRegions, count: int):
-    """One elementary move inside A dropping the Omega vertex count by one."""
+                    om: OmegaRegions, count: int, tally: Counter):
+    """One elementary move inside A dropping the Omega vertex count by one;
+    ``tally`` counts the proof branches taken."""
     c = annulus.circumference
     v = _closest_to_u1(m, annulus, om)
     if _strictly_inside_rv(om, v, c):
-        counters["case1"] += 1
-        return _case_move(m, annulus, u0, om, v, case=1, count=count)
+        tally["case1"] += 1
+        return _case_move(m, annulus, u0, om, v, case=1, count=count, tally=tally)
     if om.in_delta_minus(v):
-        counters["case2"] += 1
-        return _case_move(m, annulus, u0, om, v, case=2, count=count)
+        tally["case2"] += 1
+        return _case_move(m, annulus, u0, om, v, case=2, count=count, tally=tally)
     if om.in_delta_plus(v):
-        counters["case3"] += 1
+        tally["case3"] += 1
         mt = map_symmetry(m, "transpose")
         at = transpose_annulus(annulus)
         u0t = Point(u0.phi, u0.theta)
@@ -418,13 +410,13 @@ def _induction_move(m: SignedPointMap, annulus: Annulus, u0: Point,
         if not omt.in_delta_minus(vt):
             raise InternalInvariantBroken("transposed Case 3 vertex not in Delta-")
         move_t, a2t = _case_move(mt, at, u0t, omt, vt, case=2,
-                                 count=_omega_count(mt, at, omt))
+                                 count=_omega_count(mt, at, omt), tally=tally)
         return conjugate_move(move_t, "transpose", c), transpose_annulus(a2t)
     raise InternalInvariantBroken(f"vertex {v} escapes the case trichotomy")
 
 
 def _case_move(m: SignedPointMap, annulus: Annulus, u0: Point, om: OmegaRegions,
-               v: Point, case: int, count: int):
+               v: Point, case: int, count: int, tally: Counter):
     c = annulus.circumference
     u1 = om.v_bar
     sign = m[v]
@@ -455,7 +447,7 @@ def _case_move(m: SignedPointMap, annulus: Annulus, u0: Point, om: OmegaRegions,
                     raise
                 a2 = perturb_boundary(annulus, theta3, {Point(theta3, v.phi)},
                                       m, stable_points=(u0,))
-                counters["perturbed"] += 1
+                tally["perturbed"] += 1
                 validate_annulus(a2, m2)
                 if flype_sum_map(m, a2) != flype_sum_map(m, annulus):
                     raise InternalInvariantBroken("perturbation changed the flype")
@@ -501,8 +493,10 @@ def conjugate_rectangle(annulus: Annulus, rect: Rectangle) -> Rectangle:
 # Full decomposition
 # ---------------------------------------------------------------------------
 
-def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, depth=0):
-    """(move, annulus) pairs factoring the forward flype of m based on annulus.
+def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, tally: Counter,
+                  depth=0):
+    """(move, annulus) pairs factoring the forward flype of m based on annulus;
+    ``tally`` counts the proof branches taken.
 
     The annuli only ever grow (perturbations expand), so each move is inside
     its own level's annulus and all later ones.
@@ -514,17 +508,17 @@ def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, depth=0):
     if not interior:
         return []
     if len(interior) == 1:
-        counters["single"] += 1
+        tally["single"] += 1
         v = interior[0]
         return [(ElementaryMove(rect_rv(annulus, v), m[v]), annulus)]
     om = omega_regions(annulus, u0)
     count = _omega_count(m, annulus, om)
     if count == 0:
-        counters["sweep"] += 1
-        return [(mv, annulus) for mv in _sweep_moves(m, annulus, u0, om)]
-    move, a2 = _induction_move(m, annulus, u0, om, count)
+        tally["sweep"] += 1
+        return [(mv, annulus) for mv in _sweep_moves(m, annulus, u0, om, tally)]
+    move, a2 = _induction_move(m, annulus, u0, om, count, tally)
     m1 = apply_move_to_map(m, move)
-    sub = _decompose_ne(m1, a2, u0, depth + 1)
+    sub = _decompose_ne(m1, a2, u0, tally, depth + 1)
     closing = ElementaryMove(conjugate_rectangle(a2, move.rect), move.sign)
     return [(move, a2)] + sub + [(closing, a2)]
 
@@ -532,11 +526,15 @@ def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, depth=0):
 @dataclass(frozen=True)
 class DecomposeTrace:
     """NE-frame internals of a run: maps[i] --moves[i]--> maps[i+1], each move
-    performed inside annuli[i]; maps[-1] is the forward flype of maps[0]."""
+    performed inside annuli[i]; maps[-1] is the forward flype of maps[0].
+    ``tallies`` holds sorted (branch, count) pairs of the proof branches the
+    run took: "single", "sweep", "pair_event", "case1" to "case3" and
+    "perturbed" (each perturbation attempt)."""
 
     maps: tuple
     moves: tuple
     annuli: tuple
+    tallies: tuple
 
 
 def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
@@ -553,7 +551,8 @@ def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
         a_ne = negate_annulus(spec.annulus)
     validate_annulus(a_ne, work)
     u0 = pick_u0(work, a_ne)
-    pairs = _decompose_ne(work, a_ne, u0)
+    tally = Counter()
+    pairs = _decompose_ne(work, a_ne, u0, tally)
 
     maps = [work]
     running = work
@@ -565,7 +564,7 @@ def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
     if running != flype_sum_map(work, a_ne):
         raise InternalInvariantBroken("certificate does not compose to the flype")
     trace = DecomposeTrace(tuple(maps), tuple(mv for mv, _a in pairs),
-                           tuple(a for _mv, a in pairs))
+                           tuple(a for _mv, a in pairs), tuple(sorted(tally.items())))
 
     out_moves = [mv for mv, _a in pairs]
     out_maps = list(maps)
@@ -677,7 +676,7 @@ def base_case_sweep(diagram: GridDiagram, annulus: Annulus, u0) -> MoveCertifica
     om = omega_regions(annulus, u0)
     if _omega_count(m, annulus, om) != 0:
         raise ValueError("Omega_{u0} contains diagram vertices; not the base case")
-    return _assemble(diagram, m, _sweep_moves(m, annulus, u0, om),
+    return _assemble(diagram, m, _sweep_moves(m, annulus, u0, om, Counter()),
                      flype_sum_map(m, annulus))
 
 
@@ -695,7 +694,7 @@ def induction_step(diagram: GridDiagram, annulus: Annulus, u0, u1=None):
     count = _omega_count(m, annulus, om)
     if count == 0:
         raise ValueError("Omega_{u0} is vertex-free; nothing to push out")
-    return _induction_move(m, annulus, u0, om, count)
+    return _induction_move(m, annulus, u0, om, count, Counter())
 
 
 def _assemble(diagram, m0, internal_moves, final_map) -> MoveCertificate:

@@ -164,8 +164,7 @@ def _non_diagram() -> InternalInvariantBroken:
         "well-definedness proposition")
 
 
-def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
-                         validated=False) -> SignedPointMap:
+def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec) -> SignedPointMap:
     """Multiflype on the level of characteristic functions.
 
     The annulus conditions are sufficient for well-definedness, not
@@ -179,11 +178,10 @@ def apply_multiflype_map(m: SignedPointMap, spec: MultiflypeSpec,
     """
     work, frame, backward = _forward_frame(m, spec)
     relaxed = False
-    if not validated:
-        try:
-            validate_annulus(spec.annulus, work)
-        except AnnulusInvalid:
-            relaxed = True
+    try:
+        validate_annulus(spec.annulus, work)
+    except AnnulusInvalid:
+        relaxed = True
     result = flype_sum_map(work, spec.annulus, backward=backward)
     if not result.is_diagram():
         if relaxed:
@@ -211,29 +209,35 @@ def apply_multiflype(diagram: GridDiagram, spec: MultiflypeSpec) -> GridDiagram:
     the AnnulusInvalid of the validation.  A non-diagram result is an
     internal error.
     """
+    return _apply(diagram, spec)[0]
+
+
+def _apply(diagram: GridDiagram, spec: MultiflypeSpec):
+    """``apply_multiflype`` as (result, sides, backward): the forward-frame
+    ``_vertex_sides`` the flype sums over, and whether it sums r^v."""
     m = characteristic(diagram)
     work, frame, backward = _forward_frame(m, spec)
     try:
         validate_annulus(spec.annulus, work)
     except AnnulusInvalid:
-        return from_characteristic(apply_multiflype_map(m, spec))
-    return _flype_grid(diagram, _vertex_sides(work, spec.annulus), spec.annulus,
-                       frame, backward)
+        result = from_characteristic(apply_multiflype_map(m, spec))
+        return result, _vertex_sides(work, spec.annulus), backward
+    sides = _vertex_sides(work, spec.annulus)
+    return _flype_grid(diagram, sides, spec.annulus, frame, backward), sides, backward
 
 
 def replacement_log(diagram: GridDiagram, spec: MultiflypeSpec):
-    """Human-readable record of what the flype does to each vertex."""
-    work, _frame, backward = _forward_frame(characteristic(diagram), spec)
-    validate_annulus(spec.annulus, work)
+    """``apply_multiflype`` of the diagram, and a human-readable record of
+    what the flype does to each vertex, from one validation."""
+    result, sides, backward = _apply(diagram, spec)
     lines = []
-    for p, s, side, rect in _flyped_vertices(_vertex_sides(work, spec.annulus),
-                                             spec.annulus, backward):
+    for p, s, side, rect in _flyped_vertices(sides, spec.annulus, backward):
         if rect is None:
             lines.append(f"boundary {_fmt(p)} sign {s:+d} on {side} (kept by the sum)")
         else:
             dest = Point(rect.theta1, rect.phi1) if backward else Point(rect.theta2, rect.phi2)
             lines.append(f"interior {_fmt(p)} sign {s:+d} -> {_fmt(dest)} sign {-s:+d}")
-    return lines
+    return result, lines
 
 
 def _fmt(p: Point) -> str:

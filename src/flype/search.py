@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .annulus import Annulus, MonotoneCurve, validate_annulus
 from .errors import AnnulusInvalid, CurveError, FlypeError, OutOfRangeValue, SlopeViolation
@@ -55,14 +56,12 @@ def _diagram_of(form: bytes) -> GridDiagram:
     return GridDiagram(n, tuple(form[1:n + 1]), tuple(form[n + 1:]))
 
 
-_FAMILY_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _staircase_family(n: int):
     """Deterministic thin and medium staircase annuli with breakpoints on the
-    half-integer lattice, windings (1,1), (1,2), (2,1)."""
-    if n in _FAMILY_CACHE:
-        return _FAMILY_CACHE[n]
+    half-integer lattice, windings (1,1), (1,2), (2,1), as a tuple.  Cached
+    for the life of the process, since every flype neighbourhood at size n
+    scans the same family."""
     out = []
     seen = set()
     for p, q in ((1, 1), (1, 2), (2, 1)):
@@ -82,8 +81,7 @@ def _staircase_family(n: int):
                 if key not in seen:
                     seen.add(key)
                     out.append(ann)
-    _FAMILY_CACHE[n] = out
-    return out
+    return tuple(out)
 
 
 def _flype_neighbors(diagram: GridDiagram):

@@ -6,7 +6,8 @@ full 2^c state sum over a port graph, annulus membership by the vertical
 order of boundary crossings on a meridian, the move list by a raw scan of
 all half-integer rectangles with the sigma arithmetic done inline, the
 canonical form by trying all n^2 torus translations, and the boundary-curve
-queries and ray cast by ``Fraction`` arithmetic over each segment.  The
+queries, ray cast and rectangle containment by ``Fraction`` arithmetic over
+each segment.  The
 library's move layer is also checked against its previous forms: the scan of
 every rectangle with a corner on a vertex, and the move applied to the
 ``Fraction``-keyed characteristic map.  So is the multiflype layer: annulus
@@ -16,7 +17,7 @@ validation over ``Fraction`` points, and the flype summed on the
 
 from fractions import Fraction
 
-from flype.annulus import _diagram_map
+from flype.annulus import INTERIOR, _diagram_map, locate
 from flype.errors import (
     AnnulusInvalid,
     BoundaryHitsCrossing,
@@ -334,6 +335,14 @@ def _renorm(sigma):
 # Omega membership by explicit polygon, even-odd rule in the lift
 # ---------------------------------------------------------------------------
 
+def _curve_walk(curve, x_start, x_end):
+    """The lifted points of the curve over [x_start, x_end]: both ends and
+    every kink between them."""
+    xs = [x_start, *(x for x in curve.kinks_between(x_start, x_end)
+                     if x_start < x < x_end), x_end]
+    return [(x, curve.y_at(x)) for x in xs]
+
+
 def omega_polygon_oracle(om):
     """Point-in-polygon test for Omega_v, built from its boundary walk."""
     c = om.circumference
@@ -344,14 +353,15 @@ def omega_polygon_oracle(om):
     dx_rv = cyc_dist(om.rv.theta1, om.rv.theta2, c)
     dy_rv = cyc_dist(om.rv.phi1, om.rv.phi2, c)
 
+    roof = _curve_walk(om.annulus.b2, *om.roof)
+    floor = _curve_walk(om.annulus.b1, *om.floor)
     poly = [(x0, y0), (x0 - dx_co, y0)]
-    rx, ry = om.roof.points[0]
-    poly.extend((x0 - dx_co + (x - rx), y0 + (y - ry)) for x, y in om.roof.points[1:])
+    rx, ry = roof[0]
+    poly.extend((x0 - dx_co + (x - rx), y0 + (y - ry)) for x, y in roof[1:])
     poly.append((x0 + dx_rv, y0 + dy_rv))  # along the top edge to u1
     poly.append((x0 + dx_rv, y0))          # down the right edge
-    fx, fy = om.floor.points[-1]
-    poly.extend((x0 + dx_rv + (x - fx), y0 + (y - fy))
-                for x, y in reversed(om.floor.points[:-1]))
+    fx, fy = floor[-1]
+    poly.extend((x0 + dx_rv + (x - fx), y0 + (y - fy)) for x, y in reversed(floor[:-1]))
     # polygon closes back up the co right edge to u0
 
     xs = [p[0] for p in poly]
@@ -434,10 +444,16 @@ def ref_x_lifts_of(curve, theta):
     return out
 
 
-def ref_contains_point(curve, point) -> bool:
+def ref_lift_of(curve, point):
+    """The first lift over the point's meridian at which the curve passes
+    through the point, or None."""
     p = Point(Fraction(point[0]), Fraction(point[1])).reduced(curve.circumference)
-    return any(reduce_mod(ref_y_at(curve, x) - p.phi, curve.circumference) == 0
-               for x in ref_x_lifts_of(curve, p.theta))
+    return next((x for x in ref_x_lifts_of(curve, p.theta)
+                 if reduce_mod(ref_y_at(curve, x) - p.phi, curve.circumference) == 0), None)
+
+
+def ref_contains_point(curve, point) -> bool:
+    return ref_lift_of(curve, point) is not None
 
 
 def ref_meridian_crossings(curve, theta):
@@ -495,6 +511,31 @@ def ref_first_hit(annulus, x, direction):
         raise AssertionError(f"the {direction} ray missed the boundary")
     t, tag, (x1, y1), (x2, y2), s = best
     return tag, Point(reduce_mod(x1 + s * (x2 - x1), c), reduce_mod(y1 + s * (y2 - y1), c)), t
+
+
+def ref_rect_in_annulus(annulus, rect) -> bool:
+    """Closed containment r <= A by crossing every lattice copy of every
+    boundary segment with the open box, then locating the center."""
+    c = annulus.circumference
+    t1, f1 = reduce_mod(rect.theta1, c), reduce_mod(rect.phi1, c)
+    bx1, bx2 = t1, t1 + cyc_dist(rect.theta1, rect.theta2, c)
+    by1, by2 = f1, f1 + cyc_dist(rect.phi1, rect.phi2, c)
+    for _tag, curve in annulus.curves():
+        for (x1, y1), (x2, y2) in _segments(curve):
+            for a in range(((bx1 - x2) / c).__ceil__(), ((bx2 - x1) / c).__floor__() + 1):
+                for b in range(((by1 - y2) / c).__ceil__(), ((by2 - y1) / c).__floor__() + 1):
+                    sx1, sy1 = x1 + a * c, y1 + b * c
+                    sx2, sy2 = x2 + a * c, y2 + b * c
+                    if sx2 <= bx1 or sx1 >= bx2 or sy2 <= by1 or sy1 >= by2:
+                        continue
+                    # the segment parameters with the point strictly inside the box
+                    dx, dy = sx2 - sx1, sy2 - sy1
+                    s_lo = max((bx1 - sx1) / dx, (by1 - sy1) / dy, Fraction(0))
+                    s_hi = min((bx2 - sx1) / dx, (by2 - sy1) / dy, Fraction(1))
+                    if s_lo < s_hi:
+                        return False
+    center = Point(reduce_mod((bx1 + bx2) / 2, c), reduce_mod((by1 + by2) / 2, c))
+    return locate(annulus, center) == INTERIOR
 
 
 # ---------------------------------------------------------------------------

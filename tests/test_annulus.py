@@ -24,7 +24,6 @@ from flype.annulus import (
     rect_in_annulus,
     rect_rv,
     serialize_annulus,
-    sub_polyline,
     validate_annulus,
 )
 from flype.errors import (
@@ -38,7 +37,7 @@ from flype.errors import (
 from flype.moves import enumerate_elementary
 from flype.multiflype import thin_move_annulus
 from flype.sampling import random_annulus, random_diagram, random_flype_case
-from flype.torus_core import Point, TREFOIL5, UNKNOT2, cyc_dist, pt, reduce_mod
+from flype.torus_core import Point, Rectangle, TREFOIL5, UNKNOT2, cyc_dist, pt, reduce_mod
 
 DIAG = Annulus(MonotoneCurve(((F(1, 4), 0),), (1, 1), 2),
                MonotoneCurve(((F(-1, 4), 0),), (1, 1), 2), 2)
@@ -313,13 +312,6 @@ def test_intersecting_curves_rejected():
         Annulus(c1, c2, 2)
 
 
-def test_sub_polyline_evaluation():
-    curve = MonotoneCurve(((0, 0), (1, F(1, 2))), (1, 1), 2)
-    piece = sub_polyline(curve, (0, 0), (1, F(1, 2)))
-    assert piece.points[0] == (0, 0) and piece.points[-1] == (1, F(1, 2))
-    assert piece.y_at(F(1, 2)) == F(1, 4)
-
-
 def _kernel_cases():
     """Seeded flype annuli, twice-perturbed copies of them (D up to about
     1e14) and thin bands around elementary moves."""
@@ -353,6 +345,7 @@ def test_integer_kernel_matches_fraction_reference():
             for curve in ann.b1, ann.b2:
                 assert curve.y_at(p[0]) == oracles.ref_y_at(curve, p[0])
                 assert curve.x_lifts_of(p[0]) == oracles.ref_x_lifts_of(curve, p[0])
+                assert curve.lift_of(p) == oracles.ref_lift_of(curve, p)
                 assert curve.contains_point(p) == oracles.ref_contains_point(curve, p)
                 assert (curve.meridian_crossings(p[0])
                         == oracles.ref_meridian_crossings(curve, p[0]))
@@ -362,3 +355,62 @@ def test_integer_kernel_matches_fraction_reference():
                 assert (_first_hit(ann, p, direction)
                         == oracles.ref_first_hit(ann, p, direction))
     assert big_d > 10 ** 12
+
+
+def _containment_cases():
+    """(kind, annulus, rectangle) over the kernel annuli: rectangles that
+    wrap the torus, with a side on a boundary kink, with a corner on a
+    boundary point, r_v and r^v themselves, and degenerate ones whose width
+    or height reduces to 0 (a side of length C)."""
+    out = []
+    for ann, rng in _kernel_cases():
+        c = ann.circumference
+
+        def size():
+            return c * F(rng.randrange(1, 64), 64) / rng.choice((1, 8, 64))
+
+        def spot():
+            return c * F(rng.randrange(256), 256) + F(1, 1024)
+
+        def box(t1, f1, w, h):
+            return Rectangle.of(t1, t1 + w, f1, f1 + h)
+
+        for _ in range(40):
+            w, h = size(), size()
+            out.append(("wrap", ann, box(c - w * F(rng.randrange(1, 8), 8),
+                                         c - h * F(rng.randrange(1, 8), 8), w, h)))
+            # a kink's theta as the left or right side, or its phi as the
+            # bottom or top
+            x, y = rng.choice(rng.choice((ann.b1, ann.b2)).breakpoints)
+            t1, f1 = spot(), spot()
+            side = rng.randrange(4)
+            out.append(("kink side", ann, box((x, x - w, t1, t1)[side],
+                                              (f1, f1, y, y - h)[side], w, h)))
+            # a boundary kink or meridian crossing at one of the four corners
+            curve = rng.choice((ann.b1, ann.b2))
+            px, py = rng.choice(curve.breakpoints)
+            if rng.random() < 0.5:
+                px = spot()
+                py = rng.choice(curve.meridian_crossings(px))
+            corner = rng.randrange(4)
+            out.append(("corner", ann, box(px - w if corner in (1, 2) else px,
+                                           py - h if corner in (2, 3) else py, w, h)))
+            v = (spot(), spot())
+            if locate(ann, v) == INTERIOR:
+                out.append(("r_v", ann, rng.choice((rect_rv, co_rect))(ann, v)))
+            w, h = rng.choice(((c, h), (w, c), (c, c)))
+            out.append(("degenerate", ann, box(spot(), spot(), w, h)))
+    return out
+
+
+def test_rect_in_annulus_matches_segment_walk():
+    """The branch test on the curve tables agrees with the lattice-copy
+    segment walk of ``oracles.ref_rect_in_annulus``, and every kind of
+    rectangle but r_v reaches both answers."""
+    seen = set()
+    for kind, ann, rect in _containment_cases():
+        got = rect_in_annulus(ann, rect)
+        assert got == oracles.ref_rect_in_annulus(ann, rect), (kind, rect)
+        seen.add((kind, got))
+    kinds = ("wrap", "kink side", "corner", "degenerate")
+    assert seen == {(kind, got) for kind in kinds for got in (True, False)} | {("r_v", True)}

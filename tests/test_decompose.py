@@ -1,5 +1,6 @@
 """The decomposition algorithm: sweep, induction cases, certificates."""
 
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -100,7 +101,6 @@ def test_one_interior_vertex_certificate_has_length_one():
 
 def test_randomized_decompositions_are_sound():
     rng = Random(41)
-    decompose_mod.reset_counters()
     for _ in range(40):
         d, spec = random_flype_case(rng, n_max=6, require_interior=True)
         cert, trace = decompose_with_trace(d, spec)
@@ -151,11 +151,10 @@ def test_family_purity():
 
 def test_progress_and_case_coverage():
     rng = Random(3)
-    decompose_mod.reset_counters()
+    counters = Counter()
     for _ in range(60):
         d, spec = random_flype_case(rng, n_max=5, require_interior=True)
-        decompose(d, spec)
-    counters = decompose_mod.counters
+        counters.update(dict(decompose_with_trace(d, spec)[1].tallies))
     assert counters["sweep"] > 0
     assert counters["case1"] > 0 and counters["case2"] > 0 and counters["case3"] > 0
     assert counters["pair_event"] > 0
@@ -174,9 +173,8 @@ def test_pinned_case_requiring_boundary_perturbation():
     d = parse(PERTURB_GRID)
     ann = parse_annulus(PERTURB_ANNULUS)
     spec = MultiflypeSpec(ann, "NW")
-    decompose_mod.reset_counters()
-    cert = decompose(d, spec)
-    assert decompose_mod.counters["perturbed"] >= 1
+    cert, trace = decompose_with_trace(d, spec)
+    assert dict(trace.tallies)["perturbed"] >= 1
     assert validate_certificate(cert)
     assert len(cert) == 6
 

@@ -247,12 +247,12 @@ def test_replacement_log_interior_and_boundary_vertices():
     band = parse_annulus("annulus 2 winding 1 1\nB1: (1,0)\nB2: (-1/2,0)\n")
     kept = ["boundary (0,1) sign -1 on on_b1 (kept by the sum)",
             "boundary (1,0) sign -1 on on_b1 (kept by the sum)"]
-    assert replacement_log(UNKNOT2, MultiflypeSpec(band, "NE")) == [
-        "interior (0,0) sign +1 -> (1,1/2) sign -1", *kept,
-        "interior (1,1) sign +1 -> (0,3/2) sign -1"]
-    assert replacement_log(UNKNOT2, MultiflypeSpec(band, "SW")) == [
-        "interior (0,0) sign +1 -> (3/2,1) sign -1", *kept,
-        "interior (1,1) sign +1 -> (1/2,0) sign -1"]
+    for direction, lines in (("NE", ["interior (0,0) sign +1 -> (1,1/2) sign -1", *kept,
+                                     "interior (1,1) sign +1 -> (0,3/2) sign -1"]),
+                             ("SW", ["interior (0,0) sign +1 -> (3/2,1) sign -1", *kept,
+                                     "interior (1,1) sign +1 -> (1/2,0) sign -1"])):
+        spec = MultiflypeSpec(band, direction)
+        assert replacement_log(UNKNOT2, spec) == (apply_multiflype(UNKNOT2, spec), lines)
 
 
 def test_thin_band_retries_only_geometric_failures(monkeypatch):

@@ -1,12 +1,16 @@
 """Monotonic simplification, the census, and the command line."""
 
+import importlib
 import json
 from random import Random
 
 import pytest
 
+from flype.annulus import parse_annulus, serialize_annulus, validate_annulus
 from flype.cli import cli
+from flype.errors import ForbiddenPair
 from flype.invariants import jones
+from flype.multiflype import MultiflypeSpec, apply_multiflype
 from flype.search import all_diagrams, simplify, unknot_census
 from flype.torus_core import (
     GridDiagram,
@@ -179,6 +183,48 @@ def test_cli_apply_and_decompose(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "certificate length 2" in out
     assert out.count("move ") == 2
+
+
+def test_cli_apply_validates_once(tmp_path, monkeypatch):
+    """A strictly valid ``flype apply`` validates its annulus once."""
+    multiflype = importlib.import_module("flype.multiflype")
+    validate = multiflype.validate_annulus
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(multiflype, "validate_annulus", counted)
+    grid = tmp_path / "u2.grid"
+    grid.write_text(serialize(UNKNOT2), encoding="utf-8")
+    annulus = tmp_path / "band.annulus"
+    annulus.write_text(
+        "annulus 2 winding 1 1\nB1: (1/4,0)\nB2: (-1/4,0)\n", encoding="utf-8")
+    assert cli(["apply", "--grid", str(grid), "--annulus", str(annulus),
+                "--dir", "NE", "--out", str(tmp_path / "out.grid")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_apply_accepts_the_relaxed_inverse(tmp_path, capsys):
+    """The SW flype of a NE image fails strict validation; the command
+    accepts it as the library does and writes the library's grid."""
+    d = GridDiagram.make((0, 1, 3, 2), (1, 2, 0, 3))
+    ann = parse_annulus("annulus 4 winding 1 1\nB1: (2,3/2) (3,2) (4,4)\n"
+                        "B2: (0,3/2) (2,3)\n")
+    with pytest.raises(ForbiddenPair):
+        validate_annulus(ann, d)
+    grid = tmp_path / "d.grid"
+    grid.write_text(serialize(d), encoding="utf-8")
+    annulus = tmp_path / "band.annulus"
+    annulus.write_text(serialize_annulus(ann), encoding="utf-8")
+    out_grid = tmp_path / "out.grid"
+    assert cli(["apply", "--grid", str(grid), "--annulus", str(annulus),
+                "--dir", "SW", "--out", str(out_grid)]) == 0
+    got = parse(out_grid.read_text(encoding="utf-8"))
+    assert got == apply_multiflype(d, MultiflypeSpec(ann, "SW"))
+    assert got == GridDiagram.make((1, 2, 0), (2, 0, 1))
+    assert "interior" in capsys.readouterr().out
 
 
 def test_cli_simplify_report(tmp_path, grid_file):
