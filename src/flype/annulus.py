@@ -23,7 +23,11 @@ its breakpoints, the closing point included, and C, all scaled by D, the
 least common multiple of their denominators.  Every boundary-curve query
 reads it, taking a coordinate a/b as the integers a and b and comparing by
 cross-multiplication; a ``Fraction`` is built only for a returned value.
-``MonotoneCurve.lift_of`` finds the lift through a point.  Over each lift x
+``MonotoneCurve.lift_of`` finds the lift through a point.  Embedding and
+disjointness (``_graphs_avoid_lattice``, behind every ``Annulus``) put the
+kinks of two curves on one lattice 1/L, L the lcm of their two D, and place
+each value of the height difference between multiples of C by one integer
+floor division, a zero remainder being a touch.  Over each lift x
 of t1 a boundary is an increasing branch, so it meets the open box
 (t1, t1+w) x (f1, f1+h) iff y(x) + kC < f1 + h and y(x+w) + kC > f1 for
 some k (``rect_in_annulus``).  Omega_v keeps its two boundary pieces as
@@ -61,6 +65,8 @@ from .torus_core import (
     Rectangle,
     SignedPointMap,
     _common_denominator,
+    _is_vertex_table,
+    _lcm,
     _min_gap,
     characteristic,
     cyc_dist,
@@ -161,17 +167,21 @@ class MonotoneCurve:
         return [Fraction(n, den) for n in self._lifts(a, b)]
 
     def kinks_between(self, x_lo, x_hi):
-        """Lifted x of all breakpoint copies in [x_lo, x_hi]."""
-        px, _ = self.period()
-        out = set()
-        for x, _y in self.breakpoints:
-            k = (Fraction(x_lo) - x) // px
-            xx = x + k * px
-            while xx <= x_hi:
-                if xx >= x_lo:
-                    out.add(xx)
-                xx += px
-        return sorted(out)
+        """Lifted x of all breakpoint copies in [x_lo, x_hi], ascending."""
+        a, b = _num_den(x_lo)
+        e, f = _num_den(x_hi)
+        t = self._table
+        lo, hi = a * t[0] * f, e * t[0] * b  # times D*b*f
+        step = self.winding[0] * t[1] * b * f
+        out = []
+        for i in range(2, len(t) - 2, 2):
+            x = t[i] * b * f
+            x -= (x - lo) // step * step  # least copy >= lo
+            while x <= hi:
+                out.append(x)
+                x += step
+        den = t[0] * b * f
+        return [Fraction(x, den) for x in sorted(out)]
 
     # -- torus-level queries ----------------------------------------------
 
@@ -243,32 +253,35 @@ def _graphs_avoid_lattice(low: MonotoneCurve, high: MonotoneCurve, skip_zero_shi
 
     Both curves must have equal winding (p, q).  The torus point sets meet
     iff for some shift a in 0..p-1 the periodic PL function
-    d(x) = high(x + aC) - low(x) takes a value in C*Z.
+    d(x) = high(x + aC) - low(x) takes a value in C*Z.  d is linear between
+    the kinks of the two graphs, so it misses C*Z exactly when its values at
+    one period of kinks all lie in one open interval (kC, (k+1)C).
+
+    The check reads the two compiled tables.  The kinks go on one lattice,
+    x = X/L with L = lcm(D_low, D_high); ``_height`` gives each graph's
+    height there as a (numerator, denominator) pair; and L*d(x) = N/E is
+    placed by one floor division by E*L*C, whose remainder is 0 exactly when
+    d(x) is a multiple of C.
     """
     if low.winding != high.winding or low.circumference != high.circumference:
         return False
-    c = low.circumference
-    p, _q = low.winding
-    px, _py = low.period()
-    x_lo = low.breakpoints[0][0]
-    x_hi = x_lo + px
-    for a in range(p):
-        if skip_zero_shift and a == 0:
-            continue
-        shift = a * c
-        xs = set(low.kinks_between(x_lo, x_hi))
-        xs.update(x - shift for x in high.kinks_between(x_lo + shift, x_hi + shift))
-        xs = sorted(xs)
-        vals = [high.y_at(x + shift) - low.y_at(x) for x in xs]
-        for (x1, d1), (x2, d2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-            lo, hi = (d1, d2) if d1 <= d2 else (d2, d1)
-            if (lo / c).__ceil__() * c <= hi:
+    tl, th = low._table, high._table
+    scale = _lcm(tl[0], th[0])
+    sl, sh = scale // tl[0], scale // th[0]
+    cl = tl[1] * sl  # L*C
+    low_x = [tl[i] * sl for i in range(2, len(tl) - 2, 2)]
+    high_x = [th[i] * sh for i in range(2, len(th) - 2, 2)]
+    for a in range(1 if skip_zero_shift else 0, low.winding[0]):
+        shift = a * cl
+        cell = None
+        # d has period pC, so any lift of a kink of high will do
+        for x in low_x + [x - shift for x in high_x]:
+            nl, el = low._height(x, sl)
+            nh, eh = high._height(x + shift, sh)
+            k, rest = divmod(nh * sh * el - nl * sl * eh, el * eh * cl)
+            if not rest or cell is not None and k != cell:
                 return False
-        # the closing piece wraps around to the first kink
-        d_end = high.y_at(x_hi + shift) - low.y_at(x_hi)
-        lo, hi = (vals[-1], d_end) if vals[-1] <= d_end else (d_end, vals[-1])
-        if (lo / c).__ceil__() * c <= hi:
-            return False
+            cell = k
     return True
 
 
@@ -463,22 +476,24 @@ def validate_annulus(annulus: Annulus, diagram) -> None:
     rational).  Vertices may lie on the boundary; crossings may not.
 
     Works on scaled integers: the map is scaled by S, the least common
-    multiple of C's denominator and its coordinates', so used levels and
-    vertices are int sets.  Each boundary crossing of a used line is read off
-    the curve's integer table as r/q, and lies on a used level exactly when
-    q divides r*S.  A ``Fraction`` is built only to group crossings by their
-    position along the line and for a point named in an error.
+    multiple of C's denominator and its coordinates', so the vertex table
+    (checked first to be a diagram) and the used levels are keyed by ints.
+    Each boundary crossing of a used line is read off the curve's integer
+    table as r/q, and lies on a used level exactly when q divides r*S.  A
+    ``Fraction`` is built only to group crossings by their position along
+    the line and for a point named in an error.
     """
     m = _diagram_map(diagram)
     if m.circumference != annulus.circumference:
         raise AnnulusInvalid("circumference mismatch with the diagram")
-    if not m.is_diagram():
-        raise AnnulusInvalid("the supplied map is not a diagram characteristic")
     c = annulus.circumference
     s = _common_denominator([c, *(v for p in m.entries for v in p)])
     cs = c.numerator * (s // c.denominator)
     verts = {(p.theta.numerator * (s // p.theta.denominator) % cs,
-              p.phi.numerator * (s // p.phi.denominator) % cs) for p in m.entries}
+              p.phi.numerator * (s // p.phi.denominator) % cs): v
+             for p, v in m.entries.items()}
+    if not _is_vertex_table(verts):
+        raise AnnulusInvalid("the supplied map is not a diagram characteristic")
     used_theta = sorted({t for t, _f in verts})
     used_phi = sorted({f for _t, f in verts})
 

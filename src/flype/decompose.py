@@ -30,6 +30,7 @@ InternalInvariantBroken, never a wrong certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +100,9 @@ class SweepPath:
         for (x1, y1), (x2, y2) in zip(self.breakpoints, self.breakpoints[1:]):
             if not (x2 < x1 and y2 < y1):
                 raise InternalInvariantBroken("sweep path is not strictly decreasing")
+        # both coordinates ascend along the path once negated, for bisection
+        object.__setattr__(self, "_keys", tuple(
+            tuple(-v[axis] for v in self.breakpoints) for axis in (0, 1)))
 
     def points(self):
         c = self.circumference
@@ -110,17 +114,22 @@ class SweepPath:
     def y_range(self):
         return self.breakpoints[-1][1], self.breakpoints[0][1]
 
+    def _segment(self, axis, v):
+        """The breakpoints (x1, y1), (x2, y2) of the first segment whose
+        ``axis`` coordinate spans v."""
+        keys = self._keys[axis]
+        i = max(bisect_left(keys, -v) - 1, 0)
+        if i + 1 >= len(keys) or not keys[i] <= -v <= keys[i + 1]:
+            raise InternalInvariantBroken("sweep evaluation outside the path")
+        return self.breakpoints[i], self.breakpoints[i + 1]
+
     def at_x(self, x) -> Fraction:
-        for (x1, y1), (x2, y2) in zip(self.breakpoints, self.breakpoints[1:]):
-            if x2 <= x <= x1:
-                return y2 + (x - x2) * (y1 - y2) / (x1 - x2)
-        raise InternalInvariantBroken("sweep evaluation outside the path")
+        (x1, y1), (x2, y2) = self._segment(0, x)
+        return y2 + (x - x2) * (y1 - y2) / (x1 - x2)
 
     def x_at_y(self, y) -> Fraction:
-        for (x1, y1), (x2, y2) in zip(self.breakpoints, self.breakpoints[1:]):
-            if y2 <= y <= y1:
-                return x2 + (y - y2) * (x1 - x2) / (y1 - y2)
-        raise InternalInvariantBroken("sweep evaluation outside the path")
+        (x1, y1), (x2, y2) = self._segment(1, y)
+        return x2 + (y - y2) * (x1 - x2) / (y1 - y2)
 
 
 def _used_levels(m: SignedPointMap):
@@ -216,50 +225,47 @@ def build_sweep_path(m: SignedPointMap, annulus: Annulus, u0: Point,
     def ceil_at(x, _cv=above[2], _a=above[3], _b=above[4]):
         return _cv.y_at(x - _a * c) + _b * c
 
-    for xx, yy in ((x0, y0), (x1, y1)):
-        if not (floor_at(xx) < yy < ceil_at(xx)):
-            raise InternalInvariantBroken("strip anchoring failed")
-
     xs = {x0, x1}
     for _val, _tag, curve, a, _b in (below, above):
         xs.update(x + a * c for x in curve.kinks_between(x1 - a * c, x0 - a * c))
+    # the window functions, evaluated once per knot
+    knots = sorted(xs)
+    window = {x: (floor_at(x), ceil_at(x)) for x in knots}
+    for xx, yy in ((x0, y0), (x1, y1)):
+        if not (window[xx][0] < yy < window[xx][1]):
+            raise InternalInvariantBroken("strip anchoring failed")
     # where the clamps take over, the window functions kink as well
-    for fn, target in ((floor_at, y1), (ceil_at, y0)):
-        knots = sorted(set(xs))
+    for side, target in ((0, y1), (1, y0)):
         for a, b in zip(knots, knots[1:]):
-            fa, fb = fn(a), fn(b)
+            fa, fb = window[a][side], window[b][side]
             if (fa - target) * (fb - target) < 0:
                 xs.add(a + (target - fa) * (b - a) / (fb - fa))
-    xs = sorted(x for x in xs if x1 <= x <= x0)
     span = x0 - x1
     pts = []
-    for x in xs:
-        lo = max(floor_at(x), y1)
-        hi = min(ceil_at(x), y0)
+    for x in sorted(xs, reverse=True):  # descending in x
+        low, high = window[x] if x in window else (floor_at(x), ceil_at(x))
+        lo, hi = max(low, y1), min(high, y0)
         if not lo < hi:
             raise InternalInvariantBroken("empty corridor window")
         rho = (x - x1) / span
         pts.append((x, lo + (hi - lo) * rho))
-    pts.reverse()  # descending in x
 
+    # a used grid point lies on the path when the path's height over a lift
+    # of a used meridian in (x1, x0) reduces to a used longitude; the least
+    # such lift is the obstacle dodged first
     used_t, used_f = _used_levels(m)
-    obstacles = set()
+    columns = []
     for t in used_t:
         x = t + ((x1 - t) // c + 1) * c
         while x < x0:
-            if x > x1:
-                for f in used_f:
-                    y = f + ((y1 - f) // c + 1) * c
-                    while y < y0:
-                        if y > y1:
-                            obstacles.add((x, y))
-                        y += c
+            columns.append(x)
             x += c
+    columns.sort()
 
     for _round in range(200):
         path = SweepPath(tuple(pts), c)
-        bad = next((ob for ob in sorted(obstacles)
-                    if path.at_x(ob[0]) == ob[1]), None)
+        heights = ((x, path.at_x(x)) for x in columns)
+        bad = next(((x, y) for x, y in heights if reduce_mod(y, c) in used_f), None)
         if bad is None:
             return path
         bx, by = bad
@@ -314,12 +320,13 @@ def _event_parameter(path: SweepPath, annulus: Annulus, w: Point):
 
 
 def _sweep_moves(m: SignedPointMap, annulus: Annulus, u0: Point,
-                 om: OmegaRegions, tally: Counter):
-    """Ordered elementary moves realizing the base case."""
+                 om: OmegaRegions, interior, tally: Counter):
+    """Ordered elementary moves realizing the base case; ``interior`` lists
+    the vertices of m interior to the annulus, sorted."""
     c = annulus.circumference
     path = build_sweep_path(m, annulus, u0, om)
     events = {}
-    for w in sorted(p for p in m.entries if locate(annulus, p) == INTERIOR):
+    for w in interior:
         t = _event_parameter(path, annulus, w)
         if t is None:
             raise InternalInvariantBroken(f"vertex {w} was never swept")
@@ -350,21 +357,31 @@ def _sweep_moves(m: SignedPointMap, annulus: Annulus, u0: Point,
 # Induction step
 # ---------------------------------------------------------------------------
 
-def _omega_count(m: SignedPointMap, annulus: Annulus, om: OmegaRegions) -> int:
-    return sum(1 for p in m.entries
-               if locate(annulus, p) == INTERIOR and om.in_omega(p))
+def _interior(m: SignedPointMap, annulus: Annulus):
+    """The vertices of m interior to the annulus, sorted: the one ``locate``
+    pass over m that a recursion level shares."""
+    return [p for p in sorted(m.entries) if locate(annulus, p) == INTERIOR]
 
 
-def _closest_to_u1(m: SignedPointMap, annulus: Annulus, om: OmegaRegions) -> Point:
+def _omega_count(m: SignedPointMap, annulus: Annulus, om: OmegaRegions,
+                 interior=None) -> int:
+    """The vertices of m in Omega off the boundary; ``interior``, when
+    given, is ``_interior(m, annulus)``."""
+    if interior is None:
+        interior = _interior(m, annulus)
+    return sum(1 for p in interior if om.in_omega(p))
+
+
+def _closest_to_u1(interior, om: OmegaRegions) -> Point:
     """The vertex of Omega \\ dA closest to u1, lifted Euclidean metric,
-    ties broken lexicographically."""
-    c = annulus.circumference
+    ties broken lexicographically; ``interior`` lists the interior vertices."""
+    c = om.circumference
     u0, u1 = om.v, om.v_bar
     t0, f0 = Fraction(u0.theta), Fraction(u0.phi)
     u1_l = (t0 + cyc_dist(u0.theta, u1.theta, c), f0 + cyc_dist(u0.phi, u1.phi, c))
     best = None
-    for p in sorted(m.entries):
-        if locate(annulus, p) != INTERIOR or not om.in_omega(p):
+    for p in interior:
+        if not om.in_omega(p):
             continue
         if om.in_rv(p) or om.in_delta_minus(p):
             tl = t0 + cyc_dist(u0.theta, p.theta, c)
@@ -389,11 +406,12 @@ def _strictly_inside_rv(om: OmegaRegions, p: Point, c) -> bool:
 
 
 def _induction_move(m: SignedPointMap, annulus: Annulus, u0: Point,
-                    om: OmegaRegions, count: int, tally: Counter):
+                    om: OmegaRegions, count: int, interior, tally: Counter):
     """One elementary move inside A dropping the Omega vertex count by one;
-    ``tally`` counts the proof branches taken."""
+    ``interior`` is ``_interior(m, annulus)`` and ``tally`` counts the proof
+    branches taken."""
     c = annulus.circumference
-    v = _closest_to_u1(m, annulus, om)
+    v = _closest_to_u1(interior, om)
     if _strictly_inside_rv(om, v, c):
         tally["case1"] += 1
         return _case_move(m, annulus, u0, om, v, case=1, count=count, tally=tally)
@@ -409,8 +427,11 @@ def _induction_move(m: SignedPointMap, annulus: Annulus, u0: Point,
         vt = Point(v.phi, v.theta)
         if not omt.in_delta_minus(vt):
             raise InternalInvariantBroken("transposed Case 3 vertex not in Delta-")
+        # transposing maps the interior onto the transposed interior
+        interior_t = sorted(Point(p.phi, p.theta) for p in interior)
         move_t, a2t = _case_move(mt, at, u0t, omt, vt, case=2,
-                                 count=_omega_count(mt, at, omt), tally=tally)
+                                 count=_omega_count(mt, at, omt, interior_t),
+                                 tally=tally)
         return conjugate_move(move_t, "transpose", c), transpose_annulus(a2t)
     raise InternalInvariantBroken(f"vertex {v} escapes the case trichotomy")
 
@@ -462,6 +483,7 @@ def _case_move(m: SignedPointMap, annulus: Annulus, u0: Point, om: OmegaRegions,
         except (NotContained, AnnulusInvalid, NotAnElementaryMove) as err:
             last = err
             eps = eps / 2
+            tally["eps_halvings"] += 1
     raise InternalInvariantBroken(f"induction step failed (case {case}): {last}")
 
 
@@ -504,7 +526,7 @@ def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, tally: Counter
     if depth > len(m.entries) + 8:
         raise InternalInvariantBroken("decomposition recursion too deep")
     validate_annulus(annulus, m)
-    interior = [p for p in sorted(m.entries) if locate(annulus, p) == INTERIOR]
+    interior = _interior(m, annulus)
     if not interior:
         return []
     if len(interior) == 1:
@@ -512,11 +534,12 @@ def _decompose_ne(m: SignedPointMap, annulus: Annulus, u0: Point, tally: Counter
         v = interior[0]
         return [(ElementaryMove(rect_rv(annulus, v), m[v]), annulus)]
     om = omega_regions(annulus, u0)
-    count = _omega_count(m, annulus, om)
+    count = _omega_count(m, annulus, om, interior)
     if count == 0:
         tally["sweep"] += 1
-        return [(mv, annulus) for mv in _sweep_moves(m, annulus, u0, om, tally)]
-    move, a2 = _induction_move(m, annulus, u0, om, count, tally)
+        return [(mv, annulus)
+                for mv in _sweep_moves(m, annulus, u0, om, interior, tally)]
+    move, a2 = _induction_move(m, annulus, u0, om, count, interior, tally)
     m1 = apply_move_to_map(m, move)
     sub = _decompose_ne(m1, a2, u0, tally, depth + 1)
     closing = ElementaryMove(conjugate_rectangle(a2, move.rect), move.sign)
@@ -528,8 +551,9 @@ class DecomposeTrace:
     """NE-frame internals of a run: maps[i] --moves[i]--> maps[i+1], each move
     performed inside annuli[i]; maps[-1] is the forward flype of maps[0].
     ``tallies`` holds sorted (branch, count) pairs of the proof branches the
-    run took: "single", "sweep", "pair_event", "case1" to "case3" and
-    "perturbed" (each perturbation attempt)."""
+    run took: "single", "sweep", "pair_event", "case1" to "case3",
+    "perturbed" (each perturbation attempt) and "eps_halvings" (each retry
+    of an induction move with half the epsilon)."""
 
     maps: tuple
     moves: tuple
@@ -597,14 +621,15 @@ def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
     whenever a fresh level wraps past the representative cut; the chain form
     keeps every step equation exact.)
     """
-    t_map = {lvl: lvl for lvl in sorted({p.theta for p in maps[0].entries})}
-    f_map = {lvl: lvl for lvl in sorted({p.phi for p in maps[0].entries})}
+    levels = [({p.theta for p in mm.entries}, {p.phi for p in mm.entries}) for mm in maps]
+    t_map = {lvl: lvl for lvl in sorted(levels[0][0])}
+    f_map = {lvl: lvl for lvl in sorted(levels[0][1])}
     current_pub = from_characteristic(maps[0])
     if current_pub != source:
         raise InternalInvariantBroken("source diagram is not normalized")
-    c = maps[0].circumference
     steps = []
-    for mv, before, after in zip(moves, maps, maps[1:]):
+    for mv, after, (t_before, f_before), (t_after, f_after) in zip(
+            moves, maps[1:], levels, levels[1:]):
         n_pub = current_pub.n
         pub_rect = Rectangle.of(
             _convert_level(mv.rect.theta1, t_map, n_pub),
@@ -615,12 +640,10 @@ def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
         next_pub = apply_elementary(current_pub, pub_move)
         if not translate_equal(next_pub, from_characteristic(after)):
             raise InternalInvariantBroken("public step drifted off the flype")
-        t_map = _advance_level_map(t_map, {p.theta for p in before.entries},
-                                   {p.theta for p in after.entries},
-                                   pub_rect.theta1, pub_rect.theta2, n_pub, c)
-        f_map = _advance_level_map(f_map, {p.phi for p in before.entries},
-                                   {p.phi for p in after.entries},
-                                   pub_rect.phi1, pub_rect.phi2, n_pub, c)
+        t_map = _advance_level_map(t_map, t_before, t_after,
+                                   pub_rect.theta1, pub_rect.theta2)
+        f_map = _advance_level_map(f_map, f_before, f_after,
+                                   pub_rect.phi1, pub_rect.phi2)
         steps.append((pub_move, next_pub))
         current_pub = next_pub
     return MoveCertificate(source, tuple(steps), current_pub)
@@ -629,37 +652,37 @@ def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
 def _convert_level(x, level_map, n_pub):
     """Internal level to public coordinate through the order bijection."""
     if x in level_map:
-        return Fraction(level_map[x])
+        return level_map[x]
     levels = sorted(level_map)
     below = [lvl for lvl in levels if lvl < x]
     lo = below[-1] if below else levels[-1]
     hi = levels[(levels.index(lo) + 1) % len(levels)]
-    a = Fraction(level_map[lo])
-    return reduce_mod(a + cyc_dist(a, Fraction(level_map[hi]), n_pub) / 2, n_pub)
+    a = level_map[lo]
+    return reduce_mod(a + cyc_dist(a, level_map[hi], n_pub) / 2, n_pub)
 
 
-def _advance_level_map(level_map, before_levels, after_levels, pub1, pub2, n_pub, c):
-    """Update the internal-to-public level bijection across one public apply."""
+def _advance_level_map(level_map, before_levels, after_levels, pub1, pub2):
+    """Update the internal-to-public level bijection across one public apply.
+    Public levels, like the move's public sides pub1 and pub2, are
+    ``Fraction``s."""
     removed = before_levels - after_levels
     added = after_levels - before_levels
     if len(removed) > 1 or len(added) > 1:
         raise InternalInvariantBroken("a move changed more than one level per axis")
+    pub_before = {level_map[x] for x in before_levels}
     pub_removed = {level_map[x] for x in removed}
-    pub_added = [p for p in (pub1, pub2) if Fraction(p).denominator != 1
-                 or Fraction(p) not in {Fraction(level_map[x]) for x in before_levels}]
-    pub_added = sorted(set(pub_added))
+    pub_added = sorted({p for p in (pub1, pub2) if p.denominator != 1 or p not in pub_before})
     if len(pub_added) != len(added):
         raise InternalInvariantBroken("fresh level mismatch in the public frame")
     survivors = {}
     for x in before_levels & after_levels:
-        v = Fraction(level_map[x])
-        v2 = v - sum(1 for r in pub_removed if r < v) \
+        v = level_map[x]
+        survivors[x] = v - sum(1 for r in pub_removed if r < v) \
             + sum(1 for a in pub_added if a < v)
-        survivors[x] = v2
     for x in added:
         a = pub_added[0]
         survivors[x] = Fraction(sum(1 for y in before_levels - removed
-                                    if Fraction(level_map[y]) < a))
+                                    if level_map[y] < a))
     return survivors
 
 
@@ -674,9 +697,10 @@ def base_case_sweep(diagram: GridDiagram, annulus: Annulus, u0) -> MoveCertifica
     validate_annulus(annulus, m)
     u0 = Point(Fraction(u0[0]), Fraction(u0[1])).reduced(m.circumference)
     om = omega_regions(annulus, u0)
-    if _omega_count(m, annulus, om) != 0:
+    interior = _interior(m, annulus)
+    if _omega_count(m, annulus, om, interior) != 0:
         raise ValueError("Omega_{u0} contains diagram vertices; not the base case")
-    return _assemble(diagram, m, _sweep_moves(m, annulus, u0, om, Counter()),
+    return _assemble(diagram, m, _sweep_moves(m, annulus, u0, om, interior, Counter()),
                      flype_sum_map(m, annulus))
 
 
@@ -691,10 +715,11 @@ def induction_step(diagram: GridDiagram, annulus: Annulus, u0, u1=None):
         u1 = Point(Fraction(u1[0]), Fraction(u1[1])).reduced(m.circumference)
         if u1 != om.v_bar:
             raise ValueError(f"u1 must be bar(u0) = {om.v_bar}")
-    count = _omega_count(m, annulus, om)
+    interior = _interior(m, annulus)
+    count = _omega_count(m, annulus, om, interior)
     if count == 0:
         raise ValueError("Omega_{u0} is vertex-free; nothing to push out")
-    return _induction_move(m, annulus, u0, om, count, Counter())
+    return _induction_move(m, annulus, u0, om, count, interior, Counter())
 
 
 def _assemble(diagram, m0, internal_moves, final_map) -> MoveCertificate:

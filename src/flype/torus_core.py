@@ -56,6 +56,15 @@ def _min_gap(values, circumference) -> Fraction:
     return min(gaps)
 
 
+def _lcm(a: int, b: int) -> int:
+    """Least common multiple of two positive ints, the gcd by Euclid:
+    math.lcm would break the no-float audit, which bans every math import."""
+    x, y = a, b
+    while y:
+        x, y = y, x % y
+    return a // x * b
+
+
 def _common_denominator(values) -> int:
     """Least common multiple of the denominators of exact rationals (ints
     count as denominator 1), the scale that puts them all on integers."""
@@ -63,13 +72,7 @@ def _common_denominator(values) -> int:
     for v in values:
         den = v.denominator
         if d % den:
-            # lcm(d, den) = d * den / gcd(d, den), the gcd by Euclid:
-            # math.lcm would break the no-float audit, which bans every math
-            # import
-            a, b = d, den
-            while b:
-                a, b = b, a % b
-            d *= den // a
+            d = _lcm(d, den)
     return d
 
 
@@ -172,10 +175,12 @@ class SignedPointMap:
                 self[p] = self[p] + v
 
     def __getitem__(self, p: Point) -> int:
-        return self.entries.get(Point(Fraction(p[0]), Fraction(p[1])).reduced(self.circumference), 0)
+        c = self.circumference
+        return self.entries.get(Point(reduce_mod(p[0], c), reduce_mod(p[1], c)), 0)
 
     def __setitem__(self, p: Point, v: int):
-        q = Point(Fraction(p[0]), Fraction(p[1])).reduced(self.circumference)
+        c = self.circumference
+        q = Point(reduce_mod(p[0], c), reduce_mod(p[1], c))
         if v == 0:
             self.entries.pop(q, None)
         else:
@@ -220,16 +225,24 @@ class SignedPointMap:
 
     def is_diagram(self) -> bool:
         """True iff this is the characteristic function of some grid diagram."""
-        if not self.entries:
+        return _is_vertex_table(self.entries)
+
+
+def _is_vertex_table(entries: dict) -> bool:
+    """True iff the nonempty map {(theta, phi): value} puts exactly one +1
+    and one -1 on every used column and row, and nothing else.  Coordinates
+    may be of any one exact type (Fraction levels, or the integers of a
+    rescaled lattice)."""
+    if not entries:
+        return False
+    cols, rows = {}, {}
+    for (theta, phi), v in entries.items():
+        if v not in (1, -1):
             return False
-        cols, rows = {}, {}
-        for p, v in self.entries.items():
-            if v not in (1, -1):
-                return False
-            cols.setdefault(p.theta, []).append(v)
-            rows.setdefault(p.phi, []).append(v)
-        return (all(sorted(vs) == [-1, 1] for vs in cols.values())
-                and all(sorted(vs) == [-1, 1] for vs in rows.values()))
+        cols.setdefault(theta, []).append(v)
+        rows.setdefault(phi, []).append(v)
+    return (all(sorted(vs) == [-1, 1] for vs in cols.values())
+            and all(sorted(vs) == [-1, 1] for vs in rows.values()))
 
 
 def _add_corner_signs(entries: dict, corners, coeff: int):
@@ -253,17 +266,17 @@ def map_symmetry(m: SignedPointMap, s: str) -> SignedPointMap:
     """Image of a point map under flip_theta / flip_phi / both / transpose."""
     if s not in ("flip_theta", "flip_phi", "both", "transpose"):
         raise ValueError(f"unknown symmetry {s!r}")
-    out = SignedPointMap(m.circumference)
-    for p, v in m.entries.items():
-        theta, phi = p.theta, p.phi
-        if s == "transpose":
-            theta, phi = phi, theta
-        else:
-            if s in ("flip_theta", "both"):
-                theta = -theta
-            if s in ("flip_phi", "both"):
-                phi = -phi
-        out[Point(theta, phi)] = v
+    c = m.circumference
+    out = SignedPointMap(c)
+    entries = out.entries  # the keys below are reduced: -x is c - x, or 0
+    if s == "transpose":
+        for (theta, phi), v in m.entries.items():
+            entries[Point(phi, theta)] = v
+        return out
+    flip_t, flip_f = s in ("flip_theta", "both"), s in ("flip_phi", "both")
+    for (theta, phi), v in m.entries.items():
+        entries[Point(c - theta if flip_t and theta else theta,
+                      c - phi if flip_f and phi else phi)] = v
     return out
 
 

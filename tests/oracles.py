@@ -6,18 +6,20 @@ full 2^c state sum over a port graph, annulus membership by the vertical
 order of boundary crossings on a meridian, the move list by a raw scan of
 all half-integer rectangles with the sigma arithmetic done inline, the
 canonical form by trying all n^2 torus translations, and the boundary-curve
-queries, ray cast and rectangle containment by ``Fraction`` arithmetic over
-each segment.  The
+queries, embedding and disjointness checks, ray cast and rectangle
+containment by ``Fraction`` arithmetic over each segment.  The
 library's move layer is also checked against its previous forms: the scan of
 every rectangle with a corner on a vertex, and the move applied to the
 ``Fraction``-keyed characteristic map.  So is the multiflype layer: annulus
 validation over ``Fraction`` points, and the flype summed on the
-``Fraction``-keyed map.
+``Fraction``-keyed map.  And so is the decomposition's sweep path: its
+first form treats every used grid point in its box as an obstacle.
 """
 
 from fractions import Fraction
 
 from flype.annulus import INTERIOR, _diagram_map, locate
+from flype.decompose import SweepPath
 from flype.errors import (
     AnnulusInvalid,
     BoundaryHitsCrossing,
@@ -338,9 +340,9 @@ def _renorm(sigma):
 def _curve_walk(curve, x_start, x_end):
     """The lifted points of the curve over [x_start, x_end]: both ends and
     every kink between them."""
-    xs = [x_start, *(x for x in curve.kinks_between(x_start, x_end)
+    xs = [x_start, *(x for x in ref_kinks_between(curve, x_start, x_end)
                      if x_start < x < x_end), x_end]
-    return [(x, curve.y_at(x)) for x in xs]
+    return [(x, ref_y_at(curve, x)) for x in xs]
 
 
 def omega_polygon_oracle(om):
@@ -475,6 +477,46 @@ def ref_longitude_crossings(curve, phi):
                 out.append(reduce_mod(x1 + (y - y1) * (x2 - x1) / (y2 - y1), c))
             y += c
     return out
+
+
+def ref_kinks_between(curve, x_lo, x_hi):
+    """Lifted x of all breakpoint copies in [x_lo, x_hi], ascending."""
+    px = curve.winding[0] * curve.circumference
+    out = set()
+    for x, _y in curve.breakpoints:
+        k = (Fraction(x_lo) - x) // px
+        xx = x + k * px
+        while xx <= x_hi:
+            if xx >= x_lo:
+                out.add(xx)
+            xx += px
+    return sorted(out)
+
+
+def ref_graphs_avoid_lattice(low, high, skip_zero_shift):
+    """True iff no lattice copy of ``high`` meets ``low``: for each shift a,
+    d(x) = high(x + aC) - low(x) is evaluated at the sorted kinks of one
+    period, and each piece between two of them is tested for a multiple of
+    C in [lo, hi]."""
+    if low.winding != high.winding or low.circumference != high.circumference:
+        return False
+    c = low.circumference
+    p = low.winding[0]
+    x_lo = low.breakpoints[0][0]
+    x_hi = x_lo + p * c
+    for a in range(p):
+        if skip_zero_shift and a == 0:
+            continue
+        shift = a * c
+        xs = set(ref_kinks_between(low, x_lo, x_hi))
+        xs.update(x - shift for x in ref_kinks_between(high, x_lo + shift, x_hi + shift))
+        xs = sorted(xs)
+        vals = [ref_y_at(high, x + shift) - ref_y_at(low, x) for x in xs]
+        for d1, d2 in zip(vals, vals[1:]):
+            lo, hi = (d1, d2) if d1 <= d2 else (d2, d1)
+            if (lo / c).__ceil__() * c <= hi:
+                return False
+    return True
 
 
 def _level(direction, theta, phi):
@@ -630,3 +672,102 @@ def ref_flype_neighbors(diagram: GridDiagram):
             if got.n == diagram.n:
                 out.append(got)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The sweep path with every used grid point of its box as an obstacle
+# ---------------------------------------------------------------------------
+
+def _ref_at_x(pts, x):
+    """Height of the descending PL path through ``pts`` at x, by a linear
+    scan of its segments."""
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        if x2 <= x <= x1:
+            return y2 + (x - x2) * (y1 - y2) / (x1 - x2)
+    raise AssertionError("sweep evaluation outside the path")
+
+
+def ref_build_sweep_path(m, annulus, u0, om):
+    """``build_sweep_path`` by its first form: every lifted used grid point
+    of the box (x1, x0) x (y1, y0) is an obstacle, and each round dodges the
+    least one, in sorted order, that lies on the path."""
+    c = annulus.circumference
+    p, q = annulus.winding
+    u1 = om.v_bar
+    x0, y0 = Fraction(u0.theta), Fraction(u0.phi)
+    x1 = x0 + cyc_dist(u0.theta, u1.theta, c) - p * c
+    y1 = y0 + cyc_dist(u0.phi, u1.phi, c) - q * c
+
+    below = above = None
+    for tag, curve in annulus.curves():
+        for a in range(p):
+            base = ref_y_at(curve, x0 - a * c)
+            bb = (y0 - base) // c
+            lo_val, hi_val = base + bb * c, base + (bb + 1) * c
+            if below is None or lo_val > below[0]:
+                below = (lo_val, tag, curve, a, bb)
+            if above is None or hi_val < above[0]:
+                above = (hi_val, tag, curve, a, bb + 1)
+
+    def floor_at(x, _cv=below[2], _a=below[3], _b=below[4]):
+        return ref_y_at(_cv, x - _a * c) + _b * c
+
+    def ceil_at(x, _cv=above[2], _a=above[3], _b=above[4]):
+        return ref_y_at(_cv, x - _a * c) + _b * c
+
+    xs = {x0, x1}
+    for _val, _tag, curve, a, _b in (below, above):
+        xs.update(x + a * c for x in ref_kinks_between(curve, x1 - a * c, x0 - a * c))
+    for fn, target in ((floor_at, y1), (ceil_at, y0)):
+        knots = sorted(set(xs))
+        for a, b in zip(knots, knots[1:]):
+            fa, fb = fn(a), fn(b)
+            if (fa - target) * (fb - target) < 0:
+                xs.add(a + (target - fa) * (b - a) / (fb - fa))
+    xs = sorted(x for x in xs if x1 <= x <= x0)
+    span = x0 - x1
+    pts = []
+    for x in xs:
+        lo = max(floor_at(x), y1)
+        hi = min(ceil_at(x), y0)
+        pts.append((x, lo + (hi - lo) * (x - x1) / span))
+    pts.reverse()
+
+    used_t = {pt.theta for pt in m.entries}
+    used_f = {pt.phi for pt in m.entries}
+    obstacles = set()
+    for t in used_t:
+        x = t + ((x1 - t) // c + 1) * c
+        while x < x0:
+            if x > x1:
+                for f in used_f:
+                    y = f + ((y1 - f) // c + 1) * c
+                    while y < y0:
+                        if y > y1:
+                            obstacles.add((x, y))
+                        y += c
+            x += c
+
+    for _round in range(200):
+        bad = next((ob for ob in sorted(obstacles) if _ref_at_x(pts, ob[0]) == ob[1]), None)
+        if bad is None:
+            return SweepPath(tuple(pts), c)
+        bx, by = bad
+        lo = max(floor_at(bx), y1)
+        hi = min(ceil_at(bx), y0)
+        replace = next((i for i, (x, _y) in enumerate(pts) if x == bx), None)
+        if replace is not None:
+            prev_y, next_y = pts[replace - 1][1], pts[replace + 1][1]
+        else:
+            idx = next(i for i, (x, _y) in enumerate(pts) if x < bx)
+            prev_y, next_y = pts[idx - 1][1], pts[idx][1]
+        room_up = min(hi - by, prev_y - by)
+        room_down = min(by - lo, by - next_y)
+        s = max(room_up, room_down) / 2
+        nudged = by + s if room_up >= room_down else by - s
+        assert next_y < nudged < prev_y and lo < nudged < hi
+        if replace is not None:
+            pts[replace] = (bx, nudged)
+        else:
+            pts.insert(idx, (bx, nudged))
+    raise AssertionError("sweep obstacle dodging did not terminate")

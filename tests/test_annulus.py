@@ -15,6 +15,7 @@ from flype.annulus import (
     ON_B2,
     OUTSIDE,
     _first_hit,
+    _graphs_avoid_lattice,
     bar,
     co_rect,
     locate,
@@ -36,7 +37,7 @@ from flype.errors import (
 )
 from flype.moves import enumerate_elementary
 from flype.multiflype import thin_move_annulus
-from flype.sampling import random_annulus, random_diagram, random_flype_case
+from flype.sampling import _staircase_points, random_annulus, random_diagram, random_flype_case
 from flype.torus_core import Point, Rectangle, TREFOIL5, UNKNOT2, cyc_dist, pt, reduce_mod
 
 DIAG = Annulus(MonotoneCurve(((F(1, 4), 0),), (1, 1), 2),
@@ -355,6 +356,88 @@ def test_integer_kernel_matches_fraction_reference():
                 assert (_first_hit(ann, p, direction)
                         == oracles.ref_first_hit(ann, p, direction))
     assert big_d > 10 ** 12
+
+
+def _curve(pts, winding, c, dx=0, dy=0):
+    return MonotoneCurve(tuple((x + dx, y + dy) for x, y in pts), winding, c)
+
+
+def _touching_pairs():
+    """Hand-built (low, high) pairs on C = 2 whose difference d(x) =
+    high(x) - low(x) reaches a multiple of C exactly, from below or from
+    above, at a kink of both curves, at a kink of one curve inside a segment
+    of the other, or along a whole segment; and two near misses."""
+    line = ((0, 0),)
+    pairs = [
+        (line, ((0, F(3, 2)), (1, 3))),              # from below, high kink
+        (line, ((0, F(5, 2)), (1, 3))),              # from above, high kink
+        (((0, 0), (1, 1)), ((0, F(3, 2)), (1, 3))),  # at a kink of both
+        (((0, 0), (1, F(1, 2))), ((0, F(3, 2)),)),   # from below, low kink
+        (((0, 0), (1, F(3, 2))), ((0, F(1, 2)),)),   # from above, low kink
+        (((0, 0), (1, 1)), ((0, F(5, 4)), (F(1, 2), F(5, 2)), (1, 3))),  # along a piece
+        (line, ((0, F(3, 2)), (1, 3 - F(1, 1000)))),  # near miss below
+        (line, ((0, F(5, 2)), (1, 3 + F(1, 1000)))),  # near miss above
+    ]
+    return [(MonotoneCurve(lo, (1, 1), 2), MonotoneCurve(hi, (1, 1), 2)) for lo, hi in pairs]
+
+
+def _lattice_cases():
+    """(kind, low, high) curve pairs: the two boundaries of seeded annulus
+    draws for windings (1,1), (1,2) and (2,1), both the translated kind and
+    the kind routed through a diagram vertex (built the way
+    ``random_annulus`` builds them, before any check), two through-vertex
+    curves sharing their vertex, twice-perturbed boundaries with large D,
+    and the hand-built touches."""
+    rng = Random(23)
+    out = []
+    for winding in (1, 1), (1, 2), (2, 1):
+        p, q = winding
+        for _ in range(12):
+            n = rng.randrange(2, 7)
+            d = random_diagram(rng, n)
+            v, _s = rng.choice(d.vertices())
+            width = F(rng.randrange(1, 4), 8)
+            centers = [_staircase_points(rng, n, p, q) for _ in range(2)]
+            if any(len(pts) < 2 for pts in centers):
+                continue
+            pts = centers[0]
+            b1 = _curve(pts, winding, n, width, -width)
+            b2 = _curve(pts, winding, n, -width, width)
+            offs = [MonotoneCurve(tuple(c_pts), winding, n).y_at(v.theta) - v.phi
+                    for c_pts in centers]
+            t1, t2 = (_curve(c_pts, winding, n, 0, -off) for c_pts, off in zip(centers, offs))
+            t1_up = _curve(pts, winding, n, -2 * width, 2 * width - offs[0])
+            out += [("translates", lo, hi) for lo, hi in
+                    ((b1, b2), (b2, b1), (b1, b1), (b2, b2))]
+            out += [("through-vertex", t1, t1_up),
+                    ("through-vertex", t1_up, t1),
+                    ("shared vertex", t1, t2)]
+    for ann, _rng in _kernel_cases():
+        out += [("perturbed", lo, hi) for lo, hi in
+                ((ann.b1, ann.b2), (ann.b2, ann.b1), (ann.b1, ann.b1))]
+    out += [("touch", lo, hi) for lo, hi in _touching_pairs()]
+    return out
+
+
+def test_lattice_check_matches_fraction_reference():
+    """The integer embedding and disjointness check agrees with the
+    kink-by-kink Fraction check of ``oracles``, and every kind of pair
+    reaches both answers; ``kinks_between`` agrees too, on windows that
+    start or end on a kink."""
+    seen = set()
+    for kind, low, high in _lattice_cases():
+        for skip in (False, True):
+            got = _graphs_avoid_lattice(low, high, skip)
+            assert got == oracles.ref_graphs_avoid_lattice(low, high, skip), (kind, low, skip)
+        seen.add((kind, _graphs_avoid_lattice(low, high, False)))
+        x = low.breakpoints[-1][0]
+        for lo, hi in ((x, x + 3), (x - F(5, 7), x), (x + F(1, 3), x + F(1, 3))):
+            assert low.kinks_between(lo, hi) == oracles.ref_kinks_between(low, lo, hi)
+    kinds = ("translates", "through-vertex", "shared vertex", "perturbed", "touch")
+    assert seen == {(kind, got) for kind in kinds for got in (True, False)} - {
+        ("shared vertex", True)}
+    touches = [_graphs_avoid_lattice(lo, hi, False) for lo, hi in _touching_pairs()]
+    assert touches == [False] * 6 + [True] * 2
 
 
 def _containment_cases():

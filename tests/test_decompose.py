@@ -8,6 +8,7 @@ import importlib
 
 import pytest
 
+import oracles
 from flype.annulus import (
     Annulus,
     INTERIOR,
@@ -27,6 +28,7 @@ from flype.decompose import (
     decompose,
     decompose_with_trace,
     induction_step,
+    omega_regions,
     pick_u0,
     validate_certificate,
 )
@@ -179,12 +181,31 @@ def test_pinned_case_requiring_boundary_perturbation():
     assert len(cert) == 6
 
 
+HALVING_GRID = "grid 4\n+ 0 3 1 2\n- 2 1 0 3\n"
+HALVING_ANNULUS = (
+    "annulus 4 winding 1 1\n"
+    "B1: (39/64,-51/512) (215/64,331/512) (1847/512,931/256)\n"
+    "B2: (-15/128,321/512) (337/128,703/512) (1475/512,1117/256)\n")
+
+
+def test_pinned_case_requiring_epsilon_halving():
+    """The fifth ``random_flype_case(Random(130), n_max=8,
+    require_interior=True)`` draw: its Case 1 move fits the annulus only
+    after one halving of epsilon."""
+    spec = MultiflypeSpec(parse_annulus(HALVING_ANNULUS), "SW")
+    cert, trace = decompose_with_trace(parse(HALVING_GRID), spec)
+    assert dict(trace.tallies) == {"case1": 1, "eps_halvings": 1, "pair_event": 1,
+                                   "sweep": 1}
+    assert validate_certificate(cert)
+    assert len(cert) == 8
+
+
 def test_failed_proof_check_is_not_retried(monkeypatch):
     """Epsilon halving retries geometric failures only; a broken measure
     check in the NW perturbation case propagates after one attempt."""
     calls = []
 
-    def stuck_count(m, annulus, om):
+    def stuck_count(m, annulus, om, interior=None):
         calls.append(om)
         return 3
 
@@ -319,6 +340,7 @@ def test_sweep_path_structure():
         om = omega_regions(ann, u0)
         path = build_sweep_path(characteristic(d), ann, u0, om)
         pts = path.breakpoints
+        assert pts == oracles.ref_build_sweep_path(characteristic(d), ann, u0, om).breakpoints
         assert pts[0] == (u0.theta, u0.phi)
         u1 = om.v_bar
         p, q = ann.winding
@@ -332,3 +354,63 @@ def test_sweep_path_structure():
             assert locate(ann, pt) == INTERIOR
             assert not (pt.theta.denominator == 1 and pt.phi.denominator == 1)
         done += 1
+
+
+def test_sweep_paths_of_the_corpus_match_reference(monkeypatch):
+    """Every sweep path of a seeded decomposition corpus has the breakpoints
+    of ``oracles.ref_build_sweep_path``."""
+    paths = []
+
+    def checked(m, annulus, u0, om):
+        path = build_sweep_path(m, annulus, u0, om)
+        assert path.breakpoints == oracles.ref_build_sweep_path(m, annulus, u0, om).breakpoints
+        paths.append(path)
+        return path
+
+    monkeypatch.setattr(decompose_mod, "build_sweep_path", checked)
+    rng = Random(41)
+    for _ in range(20):
+        d, spec = random_flype_case(rng, n_max=6, require_interior=True)
+        decompose(d, spec)
+    assert len(paths) >= 10
+
+
+def _two_by_two(c, columns, rows):
+    """The 2-grid unknot on the given levels: + at (t0, f0) and (t1, f1)."""
+    (t0, t1), (f0, f1) = columns, rows
+    return SignedPointMap(c, {Point(t0, f0): 1, Point(t0, f1): -1,
+                              Point(t1, f1): 1, Point(t1, f0): -1})
+
+
+def test_sweep_path_dodges_a_grid_point_on_its_path():
+    """Used levels that put a grid point on the blended path, once at one of
+    its breakpoints and once inside a segment: the path dodges it, equals
+    the reference, and misses every used grid point."""
+    rng = Random(73)
+    dodged = 0
+    while dodged < 4:
+        d = random_diagram(rng, rng.randrange(2, 5))
+        ann = random_annulus(rng, d)
+        if ann is None:
+            continue
+        c = ann.circumference
+        u0 = pick_u0(d, ann)
+        om = omega_regions(ann, u0)
+        plain = build_sweep_path(characteristic(d), ann, u0, om).breakpoints
+        if len(plain) < 3:
+            continue
+        (xa, ya), (xb, yb) = plain[1], plain[2]
+        for x, y in ((xa, ya), ((xa + xb) / 2, (ya + yb) / 2)):
+            t, f = reduce_mod(x, c), reduce_mod(y, c)
+            m = _two_by_two(c, (t, reduce_mod(t + c / 3, c)), (f, reduce_mod(f + c / 3, c)))
+            path = build_sweep_path(m, ann, u0, om)
+            assert path.breakpoints != plain
+            assert path.breakpoints == oracles.ref_build_sweep_path(m, ann, u0, om).breakpoints
+            x1, x0 = path.x_range()
+            used_f = {p.phi for p in m.entries}
+            for t_used in {p.theta for p in m.entries}:
+                xx = t_used + ((x1 - t_used) // c + 1) * c
+                while xx < x0:
+                    assert reduce_mod(path.at_x(xx), c) not in used_f
+                    xx += c
+            dodged += 1
