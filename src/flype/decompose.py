@@ -26,6 +26,11 @@ every claim of the proof (the measure drops by exactly one, perturbation does
 not change the flype or the basepoint geometry, each emitted move is legal
 and inside its annulus) is re-checked at run time; a failure raises
 InternalInvariantBroken, never a wrong certificate.
+
+The certificate pass is one replay (``_certify``): it takes the diagram's
+map to the NE frame by one symmetry per direction, checks and composes the
+moves there, takes them back, and renumbers each step's levels in the order
+of their public images (``_public_chain``).
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .annulus import (
     OmegaRegions,
     _expect_hit,
     bar,
-    co_rect,
     locate,
     negate_annulus,
     omega_regions,
@@ -60,7 +64,7 @@ from .errors import (
     NotContained,
 )
 from .moves import ElementaryMove, apply_elementary, apply_move_to_map, conjugate_move
-from .multiflype import MultiflypeSpec, _forward_frame, apply_multiflype, flype_sum_map
+from .multiflype import NE, NW, SE, SW, MultiflypeSpec, apply_multiflype, flype_sum_map
 from .torus_core import (
     GridDiagram,
     Point,
@@ -294,6 +298,8 @@ def _event_parameter(path: SweepPath, annulus: Annulus, w: Point):
     """Earliest moment the vertex w lies on the active front; None if never.
 
     The parameter is x0 - x(u_t), strictly increasing along the traversal.
+    Each crossing of w's row (column) casts only the backward ray of
+    co_rect(u_t) that bounds the front along that row (column).
     """
     c = annulus.circumference
     x_lo, x_hi = path.x_range()
@@ -304,16 +310,16 @@ def _event_parameter(path: SweepPath, annulus: Annulus, w: Point):
         if y > y_lo:
             x = path.x_at_y(y)
             u = Point(reduce_mod(x, c), reduce_mod(y, c))
-            co = co_rect(annulus, u)
-            if in_cyclic(co.theta1, u.theta, w.theta, c):
+            left = _expect_hit(annulus, u, (-1, 0), ON_B2).theta
+            if in_cyclic(left, u.theta, w.theta, c):
                 candidates.append(x_hi - x)
         y += c
     x = w.theta + ((x_lo - w.theta) // c + 1) * c
     while x < x_hi:
         if x > x_lo:
             u = Point(reduce_mod(x, c), reduce_mod(path.at_x(x), c))
-            co = co_rect(annulus, u)
-            if in_cyclic(co.phi1, u.phi, w.phi, c):
+            bottom = _expect_hit(annulus, u, (0, -1), ON_B1).phi
+            if in_cyclic(bottom, u.phi, w.phi, c):
                 candidates.append(x_hi - x)
         x += c
     return min(candidates) if candidates else None
@@ -553,7 +559,8 @@ class DecomposeTrace:
     ``tallies`` holds sorted (branch, count) pairs of the proof branches the
     run took: "single", "sweep", "pair_event", "case1" to "case3",
     "perturbed" (each perturbation attempt) and "eps_halvings" (each retry
-    of an induction move with half the epsilon)."""
+    of an induction move with half the epsilon).  Each induction move
+    recurses once, so the recursion depth is case1 + case2 + case3."""
 
     maps: tuple
     moves: tuple
@@ -561,42 +568,24 @@ class DecomposeTrace:
     tallies: tuple
 
 
+#: the symmetry taking each direction's map to the NE frame; SW and SE also
+#: negate the annulus.  SE's flip_phi is flip_theta followed by both.
+_NE_FRAME = {NE: "none", NW: "flip_theta", SW: "both", SE: "flip_phi"}
+
+
 def decompose_with_trace(diagram: GridDiagram, spec: MultiflypeSpec):
     """The certificate plus the verified NE-frame trace."""
     m0 = characteristic(diagram)
-    work, frame, backward = _forward_frame(m0, spec)
-    sym_chain = []
-    if frame != "none":
-        sym_chain.append(frame)
-    a_ne = spec.annulus
-    if backward:
-        work = map_symmetry(work, "both")
-        sym_chain.append("both")
-        a_ne = negate_annulus(spec.annulus)
+    frame = _NE_FRAME[spec.direction]
+    work = m0 if frame == "none" else map_symmetry(m0, frame)
+    a_ne = negate_annulus(spec.annulus) if spec.direction in (SW, SE) else spec.annulus
     validate_annulus(a_ne, work)
     u0 = pick_u0(work, a_ne)
     tally = Counter()
     pairs = _decompose_ne(work, a_ne, u0, tally)
-
-    maps = [work]
-    running = work
-    for mv, a in pairs:
-        if not rect_in_annulus(a, mv.rect):
-            raise InternalInvariantBroken("step rectangle left its annulus")
-        running = apply_move_to_map(running, mv)
-        maps.append(running)
-    if running != flype_sum_map(work, a_ne):
-        raise InternalInvariantBroken("certificate does not compose to the flype")
+    cert, maps = _certify(diagram, work, pairs, flype_sum_map(work, a_ne), frame)
     trace = DecomposeTrace(tuple(maps), tuple(mv for mv, _a in pairs),
                            tuple(a for _mv, a in pairs), tuple(sorted(tally.items())))
-
-    out_moves = [mv for mv, _a in pairs]
-    out_maps = list(maps)
-    for s in reversed(sym_chain):
-        out_moves = [conjugate_move(mv, s, m0.circumference) for mv in out_moves]
-        out_maps = [map_symmetry(mm, s) for mm in out_maps]
-
-    cert = _public_chain(diagram, out_maps, out_moves)
     direct = apply_multiflype(diagram, spec)
     if not translate_equal(cert.target, direct):
         raise InternalInvariantBroken("certificate target differs from the flype")
@@ -609,81 +598,58 @@ def decompose(diagram: GridDiagram, spec: MultiflypeSpec) -> MoveCertificate:
     return cert
 
 
+def _certify(diagram: GridDiagram, work: SignedPointMap, pairs, expected, frame):
+    """(certificate, NE-frame maps) of the (move, annulus) pairs replayed on
+    ``work``, the diagram's map taken to the NE frame by ``frame``; each move
+    must lie in its annulus and the last map must equal ``expected``."""
+    maps = [work]
+    for mv, a in pairs:
+        if not rect_in_annulus(a, mv.rect):
+            raise InternalInvariantBroken("step rectangle left its annulus")
+        maps.append(apply_move_to_map(maps[-1], mv))
+    if maps[-1] != expected:
+        raise InternalInvariantBroken("certificate does not compose to the flype")
+    out_moves = [conjugate_move(mv, frame, work.circumference) for mv, _a in pairs]
+    out_maps = maps if frame == "none" else [map_symmetry(mm, frame) for mm in maps]
+    return _public_chain(diagram, out_maps, out_moves), maps
+
+
 def _public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
     """Renormalized certificate: each step target is literally apply_elementary
     of the previous step.
 
-    A persistent order bijection from internal levels to public levels is
-    maintained: used levels map through it and a fresh level goes to the
-    midpoint of the corresponding public gap.  (Renormalization anchors level
-    indices at coordinate representatives, so independently renormalizing
-    each internal map could differ from this chain by a torus translation
-    whenever a fresh level wraps past the representative cut; the chain form
-    keeps every step equation exact.)
+    Per axis, the internal levels map to the public levels 0..n-1 in the
+    same cyclic order: a fresh level goes to its cyclic predecessor's image
+    plus 1/2, the midpoint of the public gap, and after each step the levels
+    are numbered in the order of their public images, as renormalization
+    numbers them.  (Renormalizing each internal map on its own could differ
+    from this chain by a torus translation whenever a fresh level wraps past
+    the representative cut.)
     """
-    levels = [({p.theta for p in mm.entries}, {p.phi for p in mm.entries}) for mm in maps]
-    t_map = {lvl: lvl for lvl in sorted(levels[0][0])}
-    f_map = {lvl: lvl for lvl in sorted(levels[0][1])}
     current_pub = from_characteristic(maps[0])
     if current_pub != source:
         raise InternalInvariantBroken("source diagram is not normalized")
+    level_maps = [{x: x for x in axis} for axis in _used_levels(maps[0])]
     steps = []
-    for mv, after, (t_before, f_before), (t_after, f_after) in zip(
-            moves, maps[1:], levels, levels[1:]):
-        n_pub = current_pub.n
-        pub_rect = Rectangle.of(
-            _convert_level(mv.rect.theta1, t_map, n_pub),
-            _convert_level(mv.rect.theta2, t_map, n_pub),
-            _convert_level(mv.rect.phi1, f_map, n_pub),
-            _convert_level(mv.rect.phi2, f_map, n_pub))
-        pub_move = ElementaryMove(pub_rect, mv.sign)
+    for mv, after in zip(moves, maps[1:]):
+        r = mv.rect
+        for pub, sides in zip(level_maps, ((r.theta1, r.theta2), (r.phi1, r.phi2))):
+            used = sorted(pub)
+            for x in sides:
+                if x not in pub:
+                    pub[x] = pub[used[bisect_left(used, x) - 1]] + Fraction(1, 2)
+        t_pub, f_pub = level_maps
+        pub_move = ElementaryMove(
+            Rectangle.of(t_pub[r.theta1], t_pub[r.theta2], f_pub[r.phi1], f_pub[r.phi2]),
+            mv.sign)
         next_pub = apply_elementary(current_pub, pub_move)
         if not translate_equal(next_pub, from_characteristic(after)):
             raise InternalInvariantBroken("public step drifted off the flype")
-        t_map = _advance_level_map(t_map, t_before, t_after,
-                                   pub_rect.theta1, pub_rect.theta2)
-        f_map = _advance_level_map(f_map, f_before, f_after,
-                                   pub_rect.phi1, pub_rect.phi2)
+        level_maps = [{x: i for i, x in enumerate(sorted(axis, key=pub.__getitem__))}
+                      for pub, axis in zip(level_maps, _used_levels(after))]
         steps.append((pub_move, next_pub))
         current_pub = next_pub
     return MoveCertificate(source, tuple(steps), current_pub)
-
-
-def _convert_level(x, level_map, n_pub):
-    """Internal level to public coordinate through the order bijection."""
-    if x in level_map:
-        return level_map[x]
-    levels = sorted(level_map)
-    below = [lvl for lvl in levels if lvl < x]
-    lo = below[-1] if below else levels[-1]
-    hi = levels[(levels.index(lo) + 1) % len(levels)]
-    a = level_map[lo]
-    return reduce_mod(a + cyc_dist(a, level_map[hi], n_pub) / 2, n_pub)
-
-
-def _advance_level_map(level_map, before_levels, after_levels, pub1, pub2):
-    """Update the internal-to-public level bijection across one public apply.
-    Public levels, like the move's public sides pub1 and pub2, are
-    ``Fraction``s."""
-    removed = before_levels - after_levels
-    added = after_levels - before_levels
-    if len(removed) > 1 or len(added) > 1:
-        raise InternalInvariantBroken("a move changed more than one level per axis")
-    pub_before = {level_map[x] for x in before_levels}
-    pub_removed = {level_map[x] for x in removed}
-    pub_added = sorted({p for p in (pub1, pub2) if p.denominator != 1 or p not in pub_before})
-    if len(pub_added) != len(added):
-        raise InternalInvariantBroken("fresh level mismatch in the public frame")
-    survivors = {}
-    for x in before_levels & after_levels:
-        v = level_map[x]
-        survivors[x] = v - sum(1 for r in pub_removed if r < v) \
-            + sum(1 for a in pub_added if a < v)
-    for x in added:
-        a = pub_added[0]
-        survivors[x] = Fraction(sum(1 for y in before_levels - removed
-                                    if level_map[y] < a))
-    return survivors
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +666,9 @@ def base_case_sweep(diagram: GridDiagram, annulus: Annulus, u0) -> MoveCertifica
     interior = _interior(m, annulus)
     if _omega_count(m, annulus, om, interior) != 0:
         raise ValueError("Omega_{u0} contains diagram vertices; not the base case")
-    return _assemble(diagram, m, _sweep_moves(m, annulus, u0, om, interior, Counter()),
-                     flype_sum_map(m, annulus))
+    moves = _sweep_moves(m, annulus, u0, om, interior, Counter())
+    return _certify(diagram, m, [(mv, annulus) for mv in moves],
+                    flype_sum_map(m, annulus), "none")[0]
 
 
 def induction_step(diagram: GridDiagram, annulus: Annulus, u0, u1=None):
@@ -720,17 +687,6 @@ def induction_step(diagram: GridDiagram, annulus: Annulus, u0, u1=None):
     if count == 0:
         raise ValueError("Omega_{u0} is vertex-free; nothing to push out")
     return _induction_move(m, annulus, u0, om, count, interior, Counter())
-
-
-def _assemble(diagram, m0, internal_moves, final_map) -> MoveCertificate:
-    maps = [m0]
-    current = m0
-    for mv in internal_moves:
-        current = apply_move_to_map(current, mv)
-        maps.append(current)
-    if current != final_map:
-        raise InternalInvariantBroken("moves do not compose to the flype")
-    return _public_chain(diagram, maps, internal_moves)
 
 
 def validate_certificate(cert: MoveCertificate) -> bool:

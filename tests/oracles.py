@@ -12,20 +12,22 @@ library's move layer is also checked against its previous forms: the scan of
 every rectangle with a corner on a vertex, and the move applied to the
 ``Fraction``-keyed characteristic map.  So is the multiflype layer: annulus
 validation over ``Fraction`` points, and the flype summed on the
-``Fraction``-keyed map.  And so is the decomposition's sweep path: its
-first form treats every used grid point in its box as an obstacle.
+``Fraction``-keyed map.  And so is the decomposition: its sweep path's
+first form treats every used grid point in its box as an obstacle, and its
+first public chain counts removed and added levels one by one.
 """
 
 from fractions import Fraction
 
 from flype.annulus import INTERIOR, _diagram_map, locate
-from flype.decompose import SweepPath
+from flype.decompose import MoveCertificate, SweepPath
 from flype.errors import (
     AnnulusInvalid,
     BoundaryHitsCrossing,
     DiagramError,
     FlypeError,
     ForbiddenPair,
+    InternalInvariantBroken,
     NotAnElementaryMove,
 )
 from flype.invariants import LaurentPolynomial
@@ -35,6 +37,7 @@ from flype.moves import (
     STABILIZATION,
     ElementaryMove,
     _corner_hits,
+    apply_elementary,
     apply_move_to_map,
 )
 from flype.multiflype import MultiflypeSpec, apply_multiflype_map
@@ -51,6 +54,7 @@ from flype.torus_core import (
     from_characteristic,
     reduce_mod,
     to_planar,
+    translate_equal,
 )
 
 
@@ -771,3 +775,84 @@ def ref_build_sweep_path(m, annulus, u0, om):
         else:
             pts.insert(idx, (bx, nudged))
     raise AssertionError("sweep obstacle dodging did not terminate")
+
+
+# ---------------------------------------------------------------------------
+# The public chain with a level map advanced by counting levels
+# ---------------------------------------------------------------------------
+
+def ref_public_chain(source: GridDiagram, maps, moves) -> MoveCertificate:
+    """Renormalized certificate: each step target is literally apply_elementary
+    of the previous step.
+
+    A persistent order bijection from internal levels to public levels is
+    maintained: used levels map through it and a fresh level goes to the
+    midpoint of the corresponding public gap.  (Renormalization anchors level
+    indices at coordinate representatives, so independently renormalizing
+    each internal map could differ from this chain by a torus translation
+    whenever a fresh level wraps past the representative cut; the chain form
+    keeps every step equation exact.)
+    """
+    levels = [({p.theta for p in mm.entries}, {p.phi for p in mm.entries}) for mm in maps]
+    t_map = {lvl: lvl for lvl in sorted(levels[0][0])}
+    f_map = {lvl: lvl for lvl in sorted(levels[0][1])}
+    current_pub = from_characteristic(maps[0])
+    if current_pub != source:
+        raise InternalInvariantBroken("source diagram is not normalized")
+    steps = []
+    for mv, after, (t_before, f_before), (t_after, f_after) in zip(
+            moves, maps[1:], levels, levels[1:]):
+        n_pub = current_pub.n
+        pub_rect = Rectangle.of(
+            _ref_convert_level(mv.rect.theta1, t_map, n_pub),
+            _ref_convert_level(mv.rect.theta2, t_map, n_pub),
+            _ref_convert_level(mv.rect.phi1, f_map, n_pub),
+            _ref_convert_level(mv.rect.phi2, f_map, n_pub))
+        pub_move = ElementaryMove(pub_rect, mv.sign)
+        next_pub = apply_elementary(current_pub, pub_move)
+        if not translate_equal(next_pub, from_characteristic(after)):
+            raise InternalInvariantBroken("public step drifted off the flype")
+        t_map = _ref_advance_level_map(t_map, t_before, t_after,
+                                       pub_rect.theta1, pub_rect.theta2)
+        f_map = _ref_advance_level_map(f_map, f_before, f_after,
+                                       pub_rect.phi1, pub_rect.phi2)
+        steps.append((pub_move, next_pub))
+        current_pub = next_pub
+    return MoveCertificate(source, tuple(steps), current_pub)
+
+
+def _ref_convert_level(x, level_map, n_pub):
+    """Internal level to public coordinate through the order bijection."""
+    if x in level_map:
+        return level_map[x]
+    levels = sorted(level_map)
+    below = [lvl for lvl in levels if lvl < x]
+    lo = below[-1] if below else levels[-1]
+    hi = levels[(levels.index(lo) + 1) % len(levels)]
+    a = level_map[lo]
+    return reduce_mod(a + cyc_dist(a, level_map[hi], n_pub) / 2, n_pub)
+
+
+def _ref_advance_level_map(level_map, before_levels, after_levels, pub1, pub2):
+    """Update the internal-to-public level bijection across one public apply.
+    Public levels, like the move's public sides pub1 and pub2, are
+    ``Fraction``s."""
+    removed = before_levels - after_levels
+    added = after_levels - before_levels
+    if len(removed) > 1 or len(added) > 1:
+        raise InternalInvariantBroken("a move changed more than one level per axis")
+    pub_before = {level_map[x] for x in before_levels}
+    pub_removed = {level_map[x] for x in removed}
+    pub_added = sorted({p for p in (pub1, pub2) if p.denominator != 1 or p not in pub_before})
+    if len(pub_added) != len(added):
+        raise InternalInvariantBroken("fresh level mismatch in the public frame")
+    survivors = {}
+    for x in before_levels & after_levels:
+        v = level_map[x]
+        survivors[x] = v - sum(1 for r in pub_removed if r < v) \
+            + sum(1 for a in pub_added if a < v)
+    for x in added:
+        a = pub_added[0]
+        survivors[x] = Fraction(sum(1 for y in before_levels - removed
+                                    if level_map[y] < a))
+    return survivors

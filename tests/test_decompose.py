@@ -33,7 +33,7 @@ from flype.decompose import (
     validate_certificate,
 )
 from flype.errors import InternalInvariantBroken
-from flype.moves import BOTH_FAMILIES, DOWN_FAMILY, UP_FAMILY, classify
+from flype.moves import BOTH_FAMILIES, DOWN_FAMILY, UP_FAMILY, classify, conjugate_move
 from flype.multiflype import MultiflypeSpec, apply_multiflype, flype_sum_map
 from flype.sampling import random_annulus, random_diagram, random_flype_case
 from flype.torus_core import (
@@ -46,6 +46,7 @@ from flype.torus_core import (
     characteristic,
     cyc_dist,
     from_characteristic,
+    map_symmetry,
     parse,
     reduce_mod,
     sigma_of_rectangle,
@@ -123,6 +124,38 @@ def test_randomized_decompositions_are_sound():
             interior = sum(1 for p in trace.maps[0].entries
                            if locate(trace.annuli[0], p) == INTERIOR)
             assert len(cert) >= interior
+
+
+#: each direction's NE frame as a chain of symmetries, the first applied first
+_FRAME_CHAINS = {"NE": (), "NW": ("flip_theta",), "SW": ("both",),
+                 "SE": ("flip_theta", "both")}
+
+
+def test_public_chain_matches_the_counting_reference():
+    """The certificate of every step equals ``oracles.ref_public_chain`` on
+    the trace's moves and maps, taken back to the diagram's frame one
+    symmetry at a time.  The reference advances the level map by counting
+    removed and added levels; the library numbers the levels by the rank of
+    their public images.  The corpus covers all four directions and fresh
+    levels below every used level, which wrap to the top public gap."""
+    rng = Random(4)
+    directions, wraps = set(), 0
+    for _ in range(60):
+        d, spec = random_flype_case(rng, n_max=6, require_interior=True)
+        cert, trace = decompose_with_trace(d, spec)
+        moves, maps = list(trace.moves), list(trace.maps)
+        for s in reversed(_FRAME_CHAINS[spec.direction]):
+            moves = [conjugate_move(mv, s, d.n) for mv in moves]
+            maps = [map_symmetry(m, s) for m in maps]
+        assert oracles.ref_public_chain(d, maps, moves) == cert
+        for mv, m in zip(moves, maps):
+            used = ({p.theta for p in m.entries}, {p.phi for p in m.entries})
+            sides = ((mv.rect.theta1, mv.rect.theta2), (mv.rect.phi1, mv.rect.phi2))
+            wraps += sum(1 for levels, pair in zip(used, sides) for x in pair
+                         if x not in levels and x < min(levels))
+        directions.add(spec.direction)
+    assert directions == {"NE", "NW", "SW", "SE"}
+    assert wraps > 0
 
 
 def test_certificate_matches_direct_application_up_to_anchoring():
@@ -300,6 +333,9 @@ def test_base_case_sweep_public_op():
         cert = base_case_sweep(d, ann, u0)
         assert validate_certificate(cert)
         assert len(cert) == _interior_count(d, ann)
+        # the same replay as the full decomposition, which picks the same u0
+        full = decompose(d, MultiflypeSpec(ann, "NE"))
+        assert cert.steps == full.steps and cert.target == full.target
         done += 1
 
 

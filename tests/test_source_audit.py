@@ -107,6 +107,52 @@ def test_mutated_module_state_audit_catches_each_form():
     assert [name for _line, name in mutated_module_state(source)] == list("AAABBC")
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced_private_definitions(sources):
+    """(module, line, name) for every ``_name`` function, method or class
+    that ``sources`` (module name -> source text) define and never
+    reference: no name, attribute or import of that name in any module."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, _DEFINITIONS) and node.name.startswith("_")
+                  and not node.name.startswith("__") and node.name not in referenced)
+
+
+def test_no_unreferenced_private_definitions():
+    """Every private function, method and class of the package is used
+    somewhere in it, so no helper outlives the code that called it."""
+    src = pathlib.Path(flype.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
+    found = [f"{module}:{line} {name}"
+             for module, line, name in unreferenced_private_definitions(sources)]
+    assert not found, found
+
+
+def test_unreferenced_private_definitions_audit_catches_each_form():
+    sources = {
+        "a.py": ("def _imported():\n    pass\ndef _unused():\n    pass\n"
+                 "class _Gone:\n    pass\nclass _Kept:\n"
+                 "    def _method(self):\n        pass\n"
+                 "    def _orphan(self):\n        pass\n"
+                 "    def __len__(self):\n        return 0\n"),
+        "b.py": "from a import _imported\nx = _Kept()\ny = x._method\n",
+    }
+    assert [name for _module, _line, name in unreferenced_private_definitions(sources)] \
+        == ["_unused", "_Gone", "_orphan"]
+
+
 def test_benchmark_trace_hooks_resolve():
     """Every ``module.fn`` and ``module.Class.method`` that the benchmark's
     tracer wraps is still a function of that name in ``flype``."""
